@@ -9,13 +9,10 @@ from .signal_model import (
     ProtocolConstants,
     SawtoothArgs,
     as_generator,
-    climex_epoch_model,
     draw_epoch_noise,
+    epoch_model,
     fold,
-    rtt_epoch_model,
-    sawtooth_g,
-    sawtooth_h,
-    scale_delay,
+    sawtooth,
 )
 from .protocol_sim import (
     ArrivalLog,
@@ -42,7 +39,6 @@ from .estimators import (
     complete_estimate,
     cost_J,
     counterpart_frequency,
-    estimate_rho,
     grid_search,
     model_fold_values,
     phase_error,
@@ -68,7 +64,6 @@ from .secrecy import (
     KeyRangeError,
     SecrecyBudget,
     budget,
-    count_valid_pairs,
     count_valid_pairs_formula,
     derive_key,
     valid_pair_area,

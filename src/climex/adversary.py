@@ -31,7 +31,7 @@ from .estimators import (
     grid_search,
     model_fold_values,
 )
-from .protocol_sim import ArrivalLog
+from .protocol_sim import ArrivalLog, cycles_to_next_edge
 from .signal_model import (
     ClockParams,
     MeasurementEpoch,
@@ -147,8 +147,7 @@ def eve_interarrival_epoch(log: ArrivalLog, eve_clock: ClockParams,
     latch_noise = g.normal(0.0, noise.sigma_inner, size=n)
     stamp_noise = g.normal(0.0, noise.sigma_outer, size=n)
     t_e = eve_clock.period
-    frac = fold(-(eve_clock.theta_rad / (2.0 * np.pi)) - eve_clock.f_hz * arr, 1.0)
-    vals = fold(t_e * frac + latch_noise, t_e)
+    vals = fold(t_e * cycles_to_next_edge(eve_clock, arr) + latch_noise, t_e)
     rec = arr + stamp_noise
     slope, icpt = _comb_fit(rec)
     return MeasurementEpoch(t_prime=float(icpt),

@@ -29,8 +29,7 @@ from .protocol_sim import (
     CausalityError,
     ProtocolOverrunError,
     replay_dither,
-    run_climex_epoch,
-    run_rtt_epoch,
+    run_exchange,
 )
 from .secrecy import KeyRangeError, budget
 from .signal_model import MeasurementEpoch
@@ -60,9 +59,8 @@ def _setup_from_args(args) -> RunSetup:
 
 
 def _run_epoch(setup: RunSetup):
-    runner = run_rtt_epoch if setup.protocol == "rtt" else run_climex_epoch
-    return runner(setup.initiator, setup.responder, setup.scenario,
-                  setup.consts, setup.noise)
+    return run_exchange(setup.initiator, setup.responder, setup.scenario,
+                        setup.consts, setup.noise, kind=setup.protocol)
 
 
 def _model_amplitude(setup: RunSetup) -> float:
@@ -115,7 +113,11 @@ def _read_epoch_csv(path: str) -> MeasurementEpoch:
         if line.startswith("#"):
             body = line.lstrip("#").strip()
             if body.startswith("t_prime_s"):
-                t_prime = float(body.partition("=")[2])
+                try:
+                    t_prime = float(body.partition("=")[2])
+                except ValueError:
+                    raise ConfigError(f"{path} line {lineno}: bad "
+                                      f"t_prime_s value") from None
             continue
         if line.startswith("index,"):
             continue

@@ -77,9 +77,7 @@ DEFAULTS: dict = {
     "budget_rho_step_m": 0.02,
 }
 
-_INT_KEYS = {"n_pings", "seed", "grid_n_phi", "grid_refine", "attack_n",
-             "attack_seed"}
-_STR_KEYS = {"protocol", "dither", "attack"}
+_INT_KEYS = {k for k, v in DEFAULTS.items() if isinstance(v, int)}
 _CHOICES = {
     "protocol": ("rtt", "climex"),
     "dither": ("none", "uniform"),
@@ -107,7 +105,7 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         if not value:
             raise ConfigError(f"line {lineno}: empty value for {key!r}")
-        if key in _STR_KEYS:
+        if key in _CHOICES:
             if value not in _CHOICES[key]:
                 raise ConfigError(
                     f"line {lineno}: {key} must be one of "
@@ -195,6 +193,12 @@ def build_setup(cfg: dict) -> RunSetup:
             rho_step_m=cfg["budget_rho_step_m"])
     except (ValueError, CausalityError) as exc:
         raise ConfigError(str(exc)) from None
+    # on the uniform grid t_m j the resultant repeats with period 1 / t_m
+    # in f, so a grid that wide holds exact alias ties
+    if grid.f_hi - grid.f_lo >= 1.0 / scenario.t_m:
+        raise ConfigError(
+            f"search grid span {grid.f_hi - grid.f_lo:g} Hz must be below "
+            f"the alias period 1 / tm_s = {1.0 / scenario.t_m:g} Hz")
     return RunSetup(
         protocol=cfg["protocol"], initiator=initiator, responder=responder,
         scenario=scenario, consts=consts, noise=noise, grid=grid,

@@ -53,7 +53,6 @@ __all__ = [
     "DEFAULT_T_TEST_OFFSET",
     "cost_J",
     "model_fold_values",
-    "estimate_rho",
     "grid_search",
     "counterpart_frequency",
     "predict_phi_test",
@@ -141,25 +140,15 @@ def model_fold_values(t_vec, f_d: float, phi: float, amplitude: float,
     """Noise-free folded sawtooth at the given parameters.
 
     ``amplitude * fold(f_d t + phi / 2 pi + delta / t_b_model, 1)``.
-    This is the model the grid search scores; with delta_vec = None it
-    is sawtooth_h (amplitude = t_b) or sawtooth_g (amplitude = a) up to
-    the labelling of the amplitude.
+    This is the model the grid search scores: the noise-free
+    :func:`climex.signal_model.sawtooth` written in cycles, equal to it
+    up to float rounding.
     """
     t = np.asarray(t_vec, dtype=float)
     u = f_d * t + phi / _TWO_PI
     if delta_vec is not None:
         u = u + np.asarray(delta_vec, dtype=float) / t_b_model
     return amplitude * fold(u, 1.0)
-
-
-def estimate_rho(y_vec, model_vec, consts: ProtocolConstants) -> float:
-    """Distance from the residual floor once the sawtooth is explained.
-
-    ``rho = (c / 2) * mean(y - model - delta_0)``
-    """
-    y = np.asarray(y_vec, dtype=float)
-    m = np.asarray(model_vec, dtype=float)
-    return float(0.5 * consts.c * np.mean(y - m - consts.delta_0))
 
 
 # ======================================================================

@@ -14,7 +14,7 @@ Dither convention: a drawn dither value advances the scheduled emission
 responder's latched gap larger by the same amount modulo its period,
 which is the plus sign the measurement model carries inside its
 modulus, so the recorded dither vector plugs directly into
-``climex_epoch_model``.  The published epoch timestamp is the nominal
+``epoch_model``.  The published epoch timestamp is the nominal
 (undithered) first emission.
 
 Timestamps are absolute seconds in float64.  Phase extraction from an
@@ -49,6 +49,7 @@ __all__ = [
     "ArrivalLog",
     "scenario_streams",
     "first_edge_at_or_after",
+    "cycles_to_next_edge",
     "phase_to_next_edge",
     "measure_phi_test_local",
     "ideal_epoch_phase",
@@ -115,27 +116,25 @@ class ScenarioConfig:
 
 
 class Streams(NamedTuple):
-    """Independent generators for every stochastic role in a scenario.
+    """The initiator's generators: its ping dither and the epoch noise.
 
-    Roles own fixed stream slots so that changing one knob (say, the
-    dither kind) never shifts the draws seen by another role.
+    Each owns a fixed child slot of the scenario seed, so changing one
+    knob (say, the dither kind) never shifts the draws seen by the
+    other.  Adversary draws take their own explicit seeds.
     """
 
-    phases: np.random.Generator
     initiator_dither: np.random.Generator
     initiator_noise: np.random.Generator
-    responder_dither: np.random.Generator
-    responder_noise: np.random.Generator
-    eve: np.random.Generator
 
 
 def scenario_streams(seed) -> Streams:
-    """Spawn the six role streams of a scenario from one seed."""
-    if isinstance(seed, np.random.SeedSequence):
-        ss = seed
-    else:
-        ss = np.random.SeedSequence(seed)
-    return Streams(*(np.random.default_rng(c) for c in ss.spawn(6)))
+    """The two initiator streams of a scenario seed.
+
+    They are children 1 and 2 of ``SeedSequence(seed)``, addressed by
+    spawn key, so these slot numbers fix every draw.
+    """
+    return Streams(*(np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(k,))) for k in (1, 2)))
 
 
 # ======================================================================
@@ -150,13 +149,17 @@ def first_edge_at_or_after(clock: ClockParams, t: float) -> float:
     return (k - clock.theta_rad / _TWO_PI) / clock.f_hz
 
 
-def phase_to_next_edge(clock: ClockParams, t) -> float:
-    """Phase left until the clock's next edge, in ``[0, 2 pi)``.
+def cycles_to_next_edge(clock: ClockParams, t):
+    """Fraction of a period left until the clock's next edge, in
+    ``[0, 1)``: the wait a latch on this clock adds to an arrival at
+    ``t``, in periods.  Zero means an edge falls exactly at ``t``."""
+    return fold(-(clock.theta_rad / _TWO_PI)
+                - clock.f_hz * np.asarray(t, dtype=float), 1.0)
 
-    Zero means an edge falls exactly at ``t``.
-    """
-    return _TWO_PI * fold(-(clock.f_hz * np.asarray(t, dtype=float)
-                            + clock.theta_rad / _TWO_PI), 1.0)
+
+def phase_to_next_edge(clock: ClockParams, t) -> float:
+    """Phase left until the clock's next edge, in ``[0, 2 pi)``."""
+    return _TWO_PI * cycles_to_next_edge(clock, t)
 
 
 def measure_phi_test_local(clock: ClockParams, t_test: float) -> float:
@@ -265,21 +268,17 @@ def run_exchange(initiator: ClockParams, responder: ClockParams,
     if kind == "rtt":
         amplitude = t_b_true
         scale = 1.0
+        delta = np.zeros(n)
     else:
         amplitude = consts.a_scale
         scale = consts.a_scale / t_b_true
+        delta = replay_dither(cfg, consts)
 
     m = ping_decimation(cfg.t_m, consts)
     t_m_eff = m / initiator.f_hz
     e0 = first_edge_at_or_after(initiator, cfg.t_start)
     idx = np.arange(n, dtype=float)
     ping_nominal = e0 + t_m_eff * idx
-
-    if kind == "climex":
-        delta = replay_dither(cfg, consts)
-    else:
-        delta = np.zeros(n)
-
     ping_emit = ping_nominal - delta
     if n >= 2 and np.any(np.diff(ping_emit) <= 0.0):
         raise ProtocolOverrunError("dither span reorders ping emissions")
@@ -287,8 +286,8 @@ def run_exchange(initiator: ClockParams, responder: ClockParams,
     ping_arrive = ping_emit + cfg.rho_ab / consts.c
     n_in, w_out = draw_epoch_noise(n, noise, streams.initiator_noise)
 
-    frac = fold(-(responder.theta_rad / _TWO_PI) - responder.f_hz * ping_arrive, 1.0)
-    gap = fold(t_b_true * frac + n_in, t_b_true)
+    gap = fold(t_b_true * cycles_to_next_edge(responder, ping_arrive) + n_in,
+               t_b_true)
 
     respond_emit = ping_arrive + scale * gap + consts.delta_0
     respond_arrive = respond_emit + cfg.rho_ab / consts.c

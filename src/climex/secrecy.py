@@ -7,8 +7,8 @@ line-of-sight distance.  This module counts how many key bits those
 quantities are worth under stated quantization steps, and turns a
 concrete parameter tuple into a bit string.
 
-Frequency pairs are counted two ways.  The exact count enumerates the
-offset lattice and applies the beat window to each ordered pair.  The
+Frequency pairs are counted two ways.  The exact count is the number
+of ordered pairs on the offset lattice that the beat window admits.  The
 area figure replaces the lattice by the continuous offset square, where
 the beat window cuts two triangles; for the default inputs the triangle
 legs are 998 Hz, so the area is 998**2.  The two counts differ below a
@@ -31,7 +31,6 @@ __all__ = [
     "KeyRangeError",
     "BudgetInputs",
     "SecrecyBudget",
-    "count_valid_pairs",
     "count_valid_pairs_formula",
     "valid_pair_area",
     "budget",
@@ -92,23 +91,8 @@ class BudgetInputs:
         return max(k_min, 1), k_max
 
 
-def count_valid_pairs(inputs: BudgetInputs) -> int:
-    """Exact count of ordered offset pairs with a usable beat.
-
-    Materializes the pair lattice, so intended for protocol-scale
-    grids (a few thousand offsets at most).
-    """
-    n = inputs.n_freq
-    if n > 5000:
-        raise ValueError("lattice too large to enumerate; use the formula")
-    k_min, k_max = inputs._beat_steps()
-    i = np.arange(n)
-    d = np.abs(i[:, None] - i[None, :])
-    return int(np.count_nonzero((d >= k_min) & (d <= k_max)))
-
-
 def count_valid_pairs_formula(inputs: BudgetInputs) -> int:
-    """Closed form of the same lattice count.
+    """Exact count of ordered offset pairs with a usable beat.
 
     Ordered pairs at step distance k number 2 (n - k); summing over the
     admitted k telescopes to (2 n - k_min - K)(K - k_min + 1) with
@@ -211,37 +195,20 @@ def _offset_index(f_hz: float, inputs: BudgetInputs) -> int:
     return min(i, inputs.n_freq - 1)
 
 
-def _row_valid_count(i: int, n: int, k_min: int, k_max: int) -> int:
-    lo = max(0, i - k_max)
-    hi = i - k_min
-    below = hi - lo + 1 if hi >= lo else 0
-    lo2 = i + k_min
-    hi2 = min(n - 1, i + k_max)
-    above = hi2 - lo2 + 1 if hi2 >= lo2 else 0
-    return below + above
+def _row_counts(rows, n_cols: int, k_min: int, k_max: int):
+    """Per row i, the columns j in ``[0, n_cols)`` with ``k_min <= |i - j|
+    <= k_max``."""
+    below = (np.minimum(rows - k_min, n_cols - 1)
+             - np.maximum(0, rows - k_max) + 1)
+    above = np.minimum(n_cols - 1, rows + k_max) - (rows + k_min) + 1
+    return np.maximum(below, 0) + np.maximum(above, 0)
 
 
 def _pair_rank(i: int, j: int, n: int, k_min: int, k_max: int) -> int:
     """Rank of ordered pair (i, j) in row-major enumeration of the valid
-    set."""
-    rows = np.arange(i)
-    lo = np.maximum(0, rows - k_max)
-    hi = rows - k_min
-    below = np.where(hi >= lo, hi - lo + 1, 0)
-    lo2 = rows + k_min
-    hi2 = np.minimum(n - 1, rows + k_max)
-    above = np.where(hi2 >= lo2, hi2 - lo2 + 1, 0)
-    rank = int(np.sum(below + above))
-    # within row i: valid j' < j
-    b_lo = max(0, i - k_max)
-    b_hi = min(i - k_min, j - 1)
-    if b_hi >= b_lo:
-        rank += b_hi - b_lo + 1
-    a_lo = i + k_min
-    a_hi = min(n - 1, i + k_max, j - 1)
-    if a_hi >= a_lo:
-        rank += a_hi - a_lo + 1
-    return rank
+    set: the valid pairs in rows above i, plus those left of j in row i."""
+    return int(_row_counts(np.arange(i), n, k_min, k_max).sum()
+               + _row_counts(i, j, k_min, k_max))
 
 
 def derive_key(f_initiator_hz: float, f_responder_hz: float,

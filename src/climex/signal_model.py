@@ -40,11 +40,8 @@ __all__ = [
     "SawtoothArgs",
     "MeasurementEpoch",
     "draw_epoch_noise",
-    "sawtooth_h",
-    "sawtooth_g",
-    "scale_delay",
-    "rtt_epoch_model",
-    "climex_epoch_model",
+    "sawtooth",
+    "epoch_model",
 ]
 
 SPEED_OF_LIGHT_M_S = 299792458.0
@@ -215,68 +212,26 @@ def draw_epoch_noise(n_pings: int, noise: NoiseParams, rng=None):
     return inner, outer
 
 
-def _inner_noise_vec(t_vec, noise, rng, noise_vec):
-    if noise_vec is not None:
-        return np.asarray(noise_vec, dtype=float)
-    if noise is None:
-        return 0.0
-    return as_generator(rng).normal(0.0, noise.sigma_inner, size=np.shape(t_vec))
+def sawtooth(t_vec, args: SawtoothArgs, *, delta_vec=0.0,
+             amplitude: float | None = None, noise_vec=0.0):
+    """Responder wait-to-next-edge sawtooth, values in ``[0, amplitude)``.
 
-
-def sawtooth_h(t_vec, args: SawtoothArgs, *, noise: NoiseParams | None = None,
-               rng=None, noise_vec=None):
-    """Responder wait-to-next-edge sawtooth, values in ``[0, t_b)``.
-
-    ``h(t) = fold((t_b / 2 pi) * fold(2 pi f_d t + phi, 2 pi) + n, t_b)``
-
-    Parameters
-    ----------
-    t_vec : array_like
-        Measurement times, relative to wherever ``args.phi`` is quoted.
-    args : SawtoothArgs
-    noise, rng : optional
-        Draw the inner composite noise internally.
-    noise_vec : array_like, optional
-        Pre-drawn inner noise; overrides ``noise``.
-    """
-    t = np.asarray(t_vec, dtype=float)
-    n = _inner_noise_vec(t, noise, rng, noise_vec)
-    cyc = fold(_TWO_PI * args.f_d * t + args.phi, _TWO_PI)
-    return fold(args.t_b / _TWO_PI * cyc + n, args.t_b)
-
-
-def sawtooth_g(t_vec, args: SawtoothArgs, delta_vec, a_scale: float, *,
-               noise: NoiseParams | None = None, rng=None, noise_vec=None):
-    """Dithered, amplitude-scaled sawtooth, values in ``[0, a_scale)``.
-
-    ``g(t) = (a / t_b) * fold((t_b / 2 pi) * fold(2 pi f_d t + phi, 2 pi)
+    ``(a / t_b) * fold((t_b / 2 pi) * fold(2 pi f_d t + phi, 2 pi)
     + delta + n, t_b)``
 
-    ``delta_vec`` is the per-ping dither in seconds (scalar or vector);
-    it enters inside the modulus, same as the inner noise.
+    ``amplitude`` defaults to ``args.t_b``; with zero dither that is the
+    plain round trip's h(t), and with the public amplitude and the
+    initiator's dither it is the exchange's g(t).  ``delta_vec`` (per-ping
+    dither, s) and ``noise_vec`` (pre-drawn inner noise, s) are scalars
+    or vectors and both enter inside the modulus.
     """
-    if a_scale <= 0.0:
-        raise ValueError("a_scale must be positive")
+    a = args.t_b if amplitude is None else amplitude
+    if a <= 0.0:
+        raise ValueError("amplitude must be positive")
     t = np.asarray(t_vec, dtype=float)
-    n = _inner_noise_vec(t, noise, rng, noise_vec)
-    delta = np.asarray(delta_vec, dtype=float)
     cyc = fold(_TWO_PI * args.f_d * t + args.phi, _TWO_PI)
-    core = fold(args.t_b / _TWO_PI * cyc + delta + n, args.t_b)
-    return (a_scale / args.t_b) * core
-
-
-def scale_delay(delta_b: float, a_scale: float, t_b: float, delta_0: float) -> float:
-    """Map one total responder delay onto the public delay range.
-
-    The total delay of a ping (edge wait plus processing) lives in
-    ``[0, t_b + delta_0)``; the published delay must live in
-    ``[0, a_scale + delta_0)``.  The map is a plain rescaling:
-
-    ``scale_delay = delta_b * (a_scale + delta_0) / (t_b + delta_0)``
-    """
-    if t_b <= 0.0:
-        raise ValueError("t_b must be positive")
-    return delta_b * (a_scale + delta_0) / (t_b + delta_0)
+    core = fold(args.t_b / _TWO_PI * cyc + delta_vec + noise_vec, args.t_b)
+    return (a / args.t_b) * core
 
 
 # ======================================================================
@@ -284,50 +239,27 @@ def scale_delay(delta_b: float, a_scale: float, t_b: float, delta_0: float) -> f
 # ======================================================================
 
 
-def _epoch_noise(n_pings, noise, rng):
-    if noise is None:
-        z = np.zeros(n_pings)
-        return z, z
-    return draw_epoch_noise(n_pings, noise, rng)
+def epoch_model(t_prime: float, n_pings: int, t_m: float,
+                args: SawtoothArgs, rho: float, consts: ProtocolConstants, *,
+                delta_vec=0.0, amplitude: float | None = None,
+                noise: NoiseParams | None = None, rng=None) -> MeasurementEpoch:
+    """Closed-form epoch of ``n_pings`` pings spaced ``t_m`` apart.
 
-
-def rtt_epoch_model(t_prime: float, n_pings: int, t_m: float,
-                    args: SawtoothArgs, rho: float,
-                    consts: ProtocolConstants, *,
-                    noise: NoiseParams | None = None, rng=None) -> MeasurementEpoch:
-    """Round-trip-time epoch without dither or delay scaling.
-
-    ``y_i = h(i t_m) + delta_0 + 2 rho / c + w_i``
+    ``y_i = sawtooth(i t_m) + delta_0 + 2 rho / c + w_i``, with the
+    dither ``delta_vec`` and the inner noise inside the sawtooth's
+    modulus.  The defaults (no dither, amplitude ``args.t_b``) give the
+    plain round trip; the dithered exchange passes its dither and
+    ``amplitude=consts.a_scale``.  With ``noise`` the inner and outer
+    vectors come from :func:`draw_epoch_noise`.
     """
     if n_pings < 1:
         raise ValueError("n_pings must be at least 1")
     if rho < 0.0:
         raise ValueError("rho must be non-negative")
     t = t_m * np.arange(n_pings, dtype=float)
-    n_in, w_out = _epoch_noise(n_pings, noise, rng)
-    h = sawtooth_h(t, args, noise_vec=n_in)
-    y = h + consts.delta_0 + 2.0 * rho / consts.c + w_out
-    return MeasurementEpoch(t_prime, t, y)
-
-
-def climex_epoch_model(t_prime: float, n_pings: int, t_m: float,
-                       args: SawtoothArgs, delta_vec, rho: float,
-                       consts: ProtocolConstants, *, a_scale: float | None = None,
-                       noise: NoiseParams | None = None, rng=None) -> MeasurementEpoch:
-    """Clocked-impulse-exchange epoch: dithered pings, scaled respond delay.
-
-    ``y_i = g(i t_m) + delta_0 + 2 rho / c + w_i`` with the dither
-    ``delta_vec`` inside the modulus of g.  The amplitude defaults to
-    the public ``consts.a_scale``.
-    """
-    if n_pings < 1:
-        raise ValueError("n_pings must be at least 1")
-    if rho < 0.0:
-        raise ValueError("rho must be non-negative")
-    a = consts.a_scale if a_scale is None else a_scale
-    delta = np.broadcast_to(np.asarray(delta_vec, dtype=float), (n_pings,))
-    t = t_m * np.arange(n_pings, dtype=float)
-    n_in, w_out = _epoch_noise(n_pings, noise, rng)
-    gvals = sawtooth_g(t, args, delta, a, noise_vec=n_in)
-    y = gvals + consts.delta_0 + 2.0 * rho / consts.c + w_out
+    n_in, w_out = ((0.0, 0.0) if noise is None
+                   else draw_epoch_noise(n_pings, noise, rng))
+    saw = sawtooth(t, args, delta_vec=delta_vec, amplitude=amplitude,
+                   noise_vec=n_in)
+    y = saw + consts.delta_0 + 2.0 * rho / consts.c + w_out
     return MeasurementEpoch(t_prime, t, y)

@@ -72,9 +72,7 @@ def run_sweep(cfg: dict, f_d_values, trials: int, *,
             t_test = epoch.t_prime + setup.t_test_offset
             t0 = time.perf_counter() if timing else 0.0
             ce = complete_estimate(epoch, setup.initiator.f_hz, setup.consts,
-                                   grid=setup.grid,
-                                   amplitude=1.0 / setup.consts.f_nominal,
-                                   t_test=t_test)
+                                   grid=setup.grid, t_test=t_test)
             runtime = time.perf_counter() - t0 if timing else 0.0
             f_d_true = setup.initiator.f_hz - setup.responder.f_hz
             phi_true = measure_phi_test_local(setup.responder, t_test)

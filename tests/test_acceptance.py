@@ -34,8 +34,8 @@ from climex import (
     ProtocolConstants,
     SawtoothArgs,
     ScenarioConfig,
-    climex_epoch_model,
     detect_outliers,
+    epoch_model,
     eve_estimate_rtt,
     eve_tdoa_epoch,
     ideal_epoch_phase,
@@ -44,12 +44,10 @@ from climex import (
     make_random_timing_plan,
     remeasure_epoch,
     robust_parameter_fit,
-    rtt_epoch_model,
     run_climex_epoch,
     run_rtt_epoch,
     run_sweep,
-    sawtooth_g,
-    sawtooth_h,
+    sawtooth,
 )
 from climex.cli import main
 from climex.config import DEFAULTS
@@ -145,14 +143,14 @@ def test_criterion_5_shared_secret_equivalence_classes(clock_pair, scenario,
         rho = rng.uniform(0.0, 50.0)
         args1 = SawtoothArgs(f_d=f_d1, t_b=t_b, phi=phi)
         args2 = SawtoothArgs(f_d=f_d2, t_b=t_b, phi=phi)
-        e1 = rtt_epoch_model(t_prime, 200, 1.0e-4, args1, rho, consts)
-        e2 = rtt_epoch_model(t_prime, 200, 1.0e-4, args2, rho, consts)
+        e1 = epoch_model(t_prime, 200, 1.0e-4, args1, rho, consts)
+        e2 = epoch_model(t_prime, 200, 1.0e-4, args2, rho, consts)
         assert np.array_equal(e1.y_vec, e2.y_vec)
         delta = rng.uniform(0.0, 1.0e-8, 200)
-        g1 = climex_epoch_model(t_prime, 200, 1.0e-4, args1, delta, rho,
-                                consts)
-        g2 = climex_epoch_model(t_prime, 200, 1.0e-4, args2, delta, rho,
-                                consts)
+        g1 = epoch_model(t_prime, 200, 1.0e-4, args1, rho, consts,
+                         delta_vec=delta, amplitude=consts.a_scale)
+        g2 = epoch_model(t_prime, 200, 1.0e-4, args2, rho, consts,
+                         delta_vec=delta, amplitude=consts.a_scale)
         assert np.array_equal(g1.y_vec, g2.y_vec)
 
     # (b) a noise-free listener's arrival differences depend on her
@@ -216,12 +214,12 @@ def test_criterion_6_protocol_reduction_and_closed_form(consts, desk_noise):
         args = SawtoothArgs(f_d=ini.f_hz - res.f_hz, t_b=res.period, phi=phi)
         floor = consts.delta_0 + 2.0 * rho / consts.c
         if use_climex:
-            y_hat = sawtooth_g(log.ping_nominal - log.t_prime, args,
-                               log.delta, log.amplitude,
-                               noise_vec=log.noise_inner)
+            y_hat = sawtooth(log.ping_nominal - log.t_prime, args,
+                             delta_vec=log.delta, amplitude=log.amplitude,
+                             noise_vec=log.noise_inner)
         else:
-            y_hat = sawtooth_h(log.ping_emit - log.t_prime, args,
-                               noise_vec=log.noise_inner)
+            y_hat = sawtooth(log.ping_emit - log.t_prime, args,
+                             noise_vec=log.noise_inner)
         y_hat = y_hat + floor + log.noise_outer
         assert np.max(np.abs(ep.y_vec - y_hat)) <= 1.0e-12
 

@@ -64,6 +64,16 @@ def test_build_setup_rejects_bad_geometry():
         build_setup(cfg)
 
 
+def test_build_setup_rejects_aliased_grid():
+    # the resultant repeats every 1 / tm_s = 1000 Hz in f: the default
+    # +-1000 Hz grid holds alias ties there, a +-400 Hz grid does not
+    cfg = dict(DEFAULTS, tm_s=1.0e-3)
+    with pytest.raises(ConfigError, match="alias period"):
+        build_setup(cfg)
+    setup = build_setup(dict(cfg, grid_f_lo_hz=-400.0, grid_f_hi_hz=400.0))
+    assert setup.grid.f_hi - setup.grid.f_lo < 1.0 / setup.scenario.t_m
+
+
 def test_build_setup_wires_the_clocks():
     setup = build_setup(dict(DEFAULTS))
     assert setup.initiator.f_hz == pytest.approx(1.0e8 + 313.0)
@@ -166,10 +176,16 @@ def test_estimate_demodulates_recorded_protected_epoch(tmp_path):
     assert abs(float(got["rho_hat_m"]) - 3.0) < 0.05
 
 
-def test_estimate_rejects_malformed_epoch_csv(tmp_path):
+def test_estimate_rejects_malformed_epoch_csv(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
-    bad.write_text("index,t_rel_s,rtt_s\n0,0.0,4.5e-8\n")
-    assert main(["estimate", "--in", str(bad)]) == 2
+    for text, where in (
+            ("index,t_rel_s,rtt_s\n0,0.0,4.5e-8\n", "missing"),
+            ("# t_prime_s = abc\nindex,t_rel_s,rtt_s\n0,0.0,4.5e-8\n",
+             "line 1")):
+        bad.write_text(text)
+        assert main(["estimate", "--in", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and where in err
 
 
 def test_sweep_single_value_row(tmp_path):

@@ -22,7 +22,7 @@ from climex import (
     complete_estimate,
     cost_J,
     counterpart_frequency,
-    estimate_rho,
+    epoch_model,
     fold,
     grid_search,
     ideal_epoch_phase,
@@ -30,7 +30,6 @@ from climex import (
     model_fold_values,
     phase_error,
     predict_phi_test,
-    rtt_epoch_model,
     run_climex_epoch,
     run_rtt_epoch,
 )
@@ -65,12 +64,6 @@ def test_model_fold_values_hand_case():
     md = model_fold_values(t, 100.0, 0.0, 10.0e-9, 10.0e-9,
                            delta_vec=np.full(3, 2.5e-9))
     assert np.allclose(md, [2.5e-9, 3.5e-9, 4.5e-9], atol=1e-22)
-
-
-def test_estimate_rho_hand_case(consts):
-    m = np.array([1.0, 2.0, 3.0, 4.0, 5.0]) * 1e-9
-    y = m + consts.delta_0 + 2.0 * 3.0 / consts.c
-    assert estimate_rho(y, m, consts) == pytest.approx(3.0, abs=1e-9)
 
 
 def test_binned_phase_profile_matches_naive():
@@ -108,8 +101,8 @@ def test_cost_at_truth_matches_noise_power(consts):
     # on this seed, so the chi-square expectation applies directly
     noise = NoiseParams(sigma_j=1.0e-15, sigma_c=2.0e-15)
     args = SawtoothArgs(f_d=313.7, t_b=1.0000019e-8, phi=2.2)
-    ep = rtt_epoch_model(0.0, 10000, 1.0e-4, args, 3.0, consts, noise=noise,
-                         rng=np.random.default_rng(3))
+    ep = epoch_model(0.0, 10000, 1.0e-4, args, 3.0, consts, noise=noise,
+                     rng=np.random.default_rng(3))
     m = model_fold_values(ep.t_vec, args.f_d, args.phi, args.t_b, args.t_b)
     expect = ep.n * (noise.sigma_inner ** 2 + noise.sigma_outer ** 2)
     assert cost_J(ep.y_vec, m) == pytest.approx(expect, rel=0.10)
@@ -122,8 +115,8 @@ def test_cost_wrap_inflation(consts):
     # period each.  The cost is then wrap-dominated: J ~ n_wrap * t_b^2.
     noise = NoiseParams(sigma_j=1.0e-12, sigma_c=2.0e-12)
     args = SawtoothArgs(f_d=500.0, t_b=1.0000019e-8, phi=2.2)
-    ep = rtt_epoch_model(0.0, 10000, 1.0e-4, args, 3.0, consts, noise=noise,
-                         rng=np.random.default_rng(3))
+    ep = epoch_model(0.0, 10000, 1.0e-4, args, 3.0, consts, noise=noise,
+                     rng=np.random.default_rng(3))
     m = model_fold_values(ep.t_vec, args.f_d, args.phi, args.t_b, args.t_b)
     r = ep.y_vec - m
     n_wrap = int(np.sum(np.abs(r - np.median(r)) > 0.5 * args.t_b))
@@ -135,8 +128,8 @@ def test_cost_wrap_inflation(consts):
 def test_cost_grows_away_from_truth(consts):
     noise = NoiseParams(sigma_j=1.0e-12, sigma_c=2.0e-12)
     args = SawtoothArgs(f_d=313.7, t_b=1.0000019e-8, phi=2.2)
-    ep = rtt_epoch_model(0.0, 10000, 1.0e-4, args, 3.0, consts, noise=noise,
-                         rng=np.random.default_rng(3))
+    ep = epoch_model(0.0, 10000, 1.0e-4, args, 3.0, consts, noise=noise,
+                     rng=np.random.default_rng(3))
     j_true = cost_J(ep.y_vec, model_fold_values(
         ep.t_vec, args.f_d, args.phi, args.t_b, args.t_b))
     j_off = cost_J(ep.y_vec, model_fold_values(
@@ -170,7 +163,7 @@ def test_zero_noise_confounded_sum_is_exact(consts):
     phi_exact = 2.0 * np.pi * 37 / 640.0
     a = 1.0e-8
     args = SawtoothArgs(f_d=100.0, t_b=a, phi=phi_exact)
-    ep = rtt_epoch_model(0.5, 10000, 1.0e-4, args, 3.0, consts)
+    ep = epoch_model(0.5, 10000, 1.0e-4, args, 3.0, consts)
     est = grid_search(ep, consts, amplitude=a, t_b_model=a)
     assert est.f_d_hat == pytest.approx(100.0, abs=1e-9)
     s_hat = fold(a * est.phi_hat / (2 * np.pi) + 2 * est.rho_hat / consts.c, a)

@@ -23,8 +23,7 @@ from climex import (
     replay_dither,
     run_climex_epoch,
     run_rtt_epoch,
-    sawtooth_g,
-    sawtooth_h,
+    sawtooth,
     scenario_streams,
 )
 
@@ -88,11 +87,18 @@ def test_ping_decimation(consts):
 def test_scenario_streams_are_stable_and_disjoint():
     s1 = scenario_streams(77)
     s2 = scenario_streams(77)
-    a = s1.responder_noise.normal(size=8)
-    b = s2.responder_noise.normal(size=8)
+    a = s1.initiator_noise.normal(size=8)
+    b = s2.initiator_noise.normal(size=8)
     assert np.array_equal(a, b)
-    c = s2.initiator_noise.normal(size=8)
+    c = s2.initiator_dither.normal(size=8)
     assert not np.array_equal(b, c)
+    # every recorded draw hangs on these spawn slots of the seed
+    for seed in (0, 77, 12345):
+        kids = np.random.SeedSequence(seed).spawn(6)
+        s = scenario_streams(seed)
+        for k, g in ((1, s.initiator_dither), (2, s.initiator_noise)):
+            ref = np.random.default_rng(kids[k]).uniform(size=16)
+            assert np.array_equal(g.uniform(size=16), ref)
 
 
 # ----------------------------------------------------------------------
@@ -136,7 +142,7 @@ def test_rtt_tick_matches_closed_form(clock_pair, scenario, consts, desk_noise):
                             consts, desk_noise)
     phi = ideal_epoch_phase(res, log.t_prime, 3.0, consts)
     args = SawtoothArgs(f_d=ini.f_hz - res.f_hz, t_b=res.period, phi=phi)
-    h = sawtooth_h(log.ping_emit - log.t_prime, args, noise_vec=log.noise_inner)
+    h = sawtooth(log.ping_emit - log.t_prime, args, noise_vec=log.noise_inner)
     y_hat = h + consts.delta_0 + 2.0 * 3.0 / consts.c + log.noise_outer
     assert np.max(np.abs(y_hat - ep.y_vec)) < 1.0e-14
 
@@ -148,8 +154,8 @@ def test_climex_tick_matches_closed_form(clock_pair, scenario, consts,
     ep, log = run_climex_epoch(ini, res, cfg, consts, desk_noise)
     phi = ideal_epoch_phase(res, log.t_prime, 3.0, consts)
     args = SawtoothArgs(f_d=ini.f_hz - res.f_hz, t_b=res.period, phi=phi)
-    g = sawtooth_g(log.ping_nominal - log.t_prime, args, log.delta,
-                   log.amplitude, noise_vec=log.noise_inner)
+    g = sawtooth(log.ping_nominal - log.t_prime, args, delta_vec=log.delta,
+                 amplitude=log.amplitude, noise_vec=log.noise_inner)
     y_hat = g + consts.delta_0 + 2.0 * 3.0 / consts.c + log.noise_outer
     assert np.max(np.abs(y_hat - ep.y_vec)) < 1.0e-14
     assert log.amplitude == consts.a_scale

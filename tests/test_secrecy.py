@@ -16,14 +16,37 @@ from climex import (
     BudgetInputs,
     KeyRangeError,
     budget,
-    count_valid_pairs,
     count_valid_pairs_formula,
     derive_key,
     valid_pair_area,
 )
+from climex.secrecy import _pair_rank
 
 TINY = BudgetInputs(f0_hz=1.0e6, ppm=6.0, f_step_hz=1.0,
                     f_d_min_hz=1.0, f_d_max_hz=6.0)
+
+
+def count_valid_pairs(inputs: BudgetInputs) -> int:
+    """Exact count of ordered offset pairs with a usable beat.
+
+    Materializes the pair lattice, so intended for protocol-scale
+    grids (a few thousand offsets at most).
+    """
+    n = inputs.n_freq
+    if n > 5000:
+        raise ValueError("lattice too large to enumerate; use the formula")
+    k_min, k_max = inputs._beat_steps()
+    i = np.arange(n)
+    d = np.abs(i[:, None] - i[None, :])
+    return int(np.count_nonzero((d >= k_min) & (d <= k_max)))
+
+
+def valid_pairs_row_major(inputs: BudgetInputs):
+    """The valid ordered index pairs, listed row by row."""
+    n = inputs.n_freq
+    k_min, k_max = inputs._beat_steps()
+    return [(i, j) for i in range(n) for j in range(n)
+            if k_min <= abs(i - j) <= k_max]
 
 
 def test_tiny_grid_counts():
@@ -42,6 +65,25 @@ def test_formula_matches_enumeration_on_random_layouts():
         inp = BudgetInputs(f0_hz=1.0e6, ppm=2.0 * half, f_step_hz=1.0,
                            f_d_min_hz=float(fd_min), f_d_max_hz=float(fd_max))
         assert count_valid_pairs(inp) == count_valid_pairs_formula(inp)
+
+
+def test_pair_rank_is_the_row_major_position():
+    rng = np.random.default_rng(23)
+    layouts = [TINY]
+    for _ in range(8):
+        half = int(rng.integers(2, 25))
+        fd_min = int(rng.integers(1, half + 1))
+        fd_max = int(rng.integers(fd_min, 2 * half + 5))
+        layouts.append(BudgetInputs(f0_hz=1.0e6, ppm=2.0 * half,
+                                    f_step_hz=1.0, f_d_min_hz=float(fd_min),
+                                    f_d_max_hz=float(fd_max)))
+    for inp in layouts:
+        n = inp.n_freq
+        k_min, k_max = inp._beat_steps()
+        pairs = valid_pairs_row_major(inp)
+        assert len(pairs) == count_valid_pairs(inp)
+        ranks = [_pair_rank(i, j, n, k_min, k_max) for i, j in pairs]
+        assert ranks == list(range(len(pairs)))
 
 
 def test_default_pair_count_and_area():

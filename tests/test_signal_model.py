@@ -10,13 +10,10 @@ from climex import (
     NoiseParams,
     ProtocolConstants,
     SawtoothArgs,
-    climex_epoch_model,
     draw_epoch_noise,
+    epoch_model,
     fold,
-    rtt_epoch_model,
-    sawtooth_g,
-    sawtooth_h,
-    scale_delay,
+    sawtooth,
 )
 
 
@@ -61,18 +58,18 @@ def test_sawtooth_h_quarter_cycle():
     # f_d = 100 Hz at t = 2.5 ms is a quarter beat cycle: the wait value
     # is a quarter of the responder period
     args = SawtoothArgs(f_d=100.0, t_b=10.0e-9, phi=0.0)
-    h = sawtooth_h(np.array([2.5e-3]), args)
+    h = sawtooth(np.array([2.5e-3]), args)
     assert h[0] == pytest.approx(2.5e-9, rel=1e-12)
 
 
 def test_sawtooth_g_scales_to_public_amplitude():
     args = SawtoothArgs(f_d=100.0, t_b=10.0e-9, phi=0.0)
-    g = sawtooth_g(np.array([2.5e-3]), args, 0.0, 5.0e-9)
+    g = sawtooth(np.array([2.5e-3]), args, amplitude=5.0e-9)
     assert g[0] == pytest.approx(1.25e-9, rel=1e-12)
 
     rng = np.random.default_rng(7)
     t = rng.uniform(0.0, 1.0, 5000)
-    vals = sawtooth_g(t, args, 0.0, 5.0e-9)
+    vals = sawtooth(t, args, amplitude=5.0e-9)
     assert np.all(vals >= 0.0)
     assert np.all(vals < 5.0e-9)
 
@@ -82,36 +79,26 @@ def test_sawtooth_g_with_zero_dither_and_native_amplitude_is_h():
     rng = np.random.default_rng(3)
     t = rng.uniform(0.0, 1.0, 4000)
     nvec = rng.normal(0.0, 2.0e-9, 4000)
-    h = sawtooth_h(t, args, noise_vec=nvec)
-    g = sawtooth_g(t, args, 0.0, args.t_b, noise_vec=nvec)
+    # the defaults are no dither and the responder's own period
+    h = sawtooth(t, args, noise_vec=nvec)
+    g = sawtooth(t, args, delta_vec=np.zeros(4000), amplitude=args.t_b,
+                 noise_vec=nvec)
     assert np.array_equal(h, g)
 
 
 def test_sawtooth_h_periodic_in_beat():
     args = SawtoothArgs(f_d=50.0, t_b=10.0e-9, phi=1.7)
     t = np.array([0.003, 0.0113, 0.0207])
-    d = sawtooth_h(t + 1.0 / 50.0, args) - sawtooth_h(t, args)
+    d = sawtooth(t + 1.0 / 50.0, args) - sawtooth(t, args)
     assert np.max(np.abs(d)) < 1.0e-20
 
 
 def test_sawtooth_dither_shifts_ramp_position():
     args = SawtoothArgs(f_d=100.0, t_b=10.0e-9, phi=0.0)
     t = np.array([2.5e-3])
-    base = sawtooth_g(t, args, 0.0, 10.0e-9)
-    shifted = sawtooth_g(t, args, 1.0e-9, 10.0e-9)
+    base = sawtooth(t, args, amplitude=10.0e-9)
+    shifted = sawtooth(t, args, delta_vec=1.0e-9, amplitude=10.0e-9)
     assert shifted[0] == pytest.approx(base[0] + 1.0e-9, abs=1e-21)
-
-
-def test_scale_delay_hand_value():
-    # 25 ns total delay, 10 ns period, 20 ns processing floor mapped
-    # onto a 5 ns public amplitude: 25e-9 * (5+20)/(10+20)
-    assert scale_delay(25.0e-9, 5.0e-9, 10.0e-9, 20.0e-9) == pytest.approx(
-        2.0833333333e-8, rel=1e-9)
-
-
-def test_scale_delay_rejects_nonpositive_period():
-    with pytest.raises(ValueError):
-        scale_delay(1.0e-9, 5.0e-9, 0.0, 2.0e-8)
 
 
 # ----------------------------------------------------------------------
@@ -157,19 +144,21 @@ def test_noise_rejects_negative_sigma():
 
 def test_rtt_epoch_floor_is_delay_plus_round_trip(consts):
     args = SawtoothArgs(f_d=50.0, t_b=10.0e-9, phi=1.7)
-    ep = rtt_epoch_model(0.0, 1000, 1.0e-4, args, 3.0, consts)
-    resid = ep.y_vec - sawtooth_h(ep.t_vec, args)
+    ep = epoch_model(0.0, 1000, 1.0e-4, args, 3.0, consts)
+    resid = ep.y_vec - sawtooth(ep.t_vec, args)
     floor = consts.delta_0 + 2.0 * 3.0 / consts.c
     assert np.max(np.abs(resid - floor)) < 1.0e-20
 
 
 def test_climex_epoch_reduces_to_rtt(consts, desk_noise):
     args = SawtoothArgs(f_d=313.7, t_b=10.0e-9, phi=0.9)
-    ep_r = rtt_epoch_model(0.25, 500, 1.0e-4, args, 3.0, consts,
-                           noise=desk_noise, rng=np.random.default_rng(9))
-    ep_c = climex_epoch_model(0.25, 500, 1.0e-4, args, 0.0, 3.0, consts,
-                              a_scale=args.t_b, noise=desk_noise,
-                              rng=np.random.default_rng(9))
+    # the plain round trip is the exchange with zero dither at the
+    # responder's own period, which are the defaults
+    ep_r = epoch_model(0.25, 500, 1.0e-4, args, 3.0, consts,
+                       noise=desk_noise, rng=np.random.default_rng(9))
+    ep_c = epoch_model(0.25, 500, 1.0e-4, args, 3.0, consts,
+                       delta_vec=np.zeros(500), amplitude=args.t_b,
+                       noise=desk_noise, rng=np.random.default_rng(9))
     assert np.array_equal(ep_r.y_vec, ep_c.y_vec)
     assert np.array_equal(ep_r.t_vec, ep_c.t_vec)
 
@@ -177,11 +166,11 @@ def test_climex_epoch_reduces_to_rtt(consts, desk_noise):
 def test_epoch_models_validate_inputs(consts):
     args = SawtoothArgs(f_d=50.0, t_b=10.0e-9)
     with pytest.raises(ValueError):
-        rtt_epoch_model(0.0, 0, 1.0e-4, args, 3.0, consts)
+        epoch_model(0.0, 0, 1.0e-4, args, 3.0, consts)
     with pytest.raises(ValueError):
-        rtt_epoch_model(0.0, 10, 1.0e-4, args, -1.0, consts)
+        epoch_model(0.0, 10, 1.0e-4, args, -1.0, consts)
     with pytest.raises(ValueError):
-        climex_epoch_model(0.0, 0, 1.0e-4, args, 0.0, 3.0, consts)
+        epoch_model(0.0, 10, 1.0e-4, args, 3.0, consts, amplitude=0.0)
 
 
 def test_measurement_epoch_validation():
