@@ -22,6 +22,20 @@ At the true frequency the angles pile up (R ~ N), anywhere else they
 decohere (R ~ sqrt(N)).  R is invariant to phi and to the constant
 floor, so the stage estimates f alone.
 
+On a uniform time grid t_j = tau j the coarse ladder f_lo + df k is a
+chirp-z transform of the sample phasors (Rabiner, Schafer and Rader
+1969), computed by Bluestein's FFT convolution in O((N + K) log(N + K))
+instead of N K.  The transform applies when ``t_vec`` equals
+``t_vec[1] * arange(N)`` bit for bit, which holds for every grid the
+package builds (``run_exchange``, ``remeasure_epoch`` and the
+listener's comb-fit grid); a masked refit keeps the full grid and gives
+dropped samples zero weight.  On such a grid R(f) repeats with period
+1 / tau, so a coarse ladder spanning a full period holds exact alias
+ties and is refused.  A non-uniform grid (an epoch read from CSV) and
+the short refine ladder step a running phasor instead.  Either way the
+pick is a ladder point, so the two paths differ only where rounding
+(~1e-12 of the peak on the default ladder) would split a near-tie.
+
 Phase stage.  At the selected frequency the phase is read from the
 least-squares profile J(phi) = sum((z - mean(z))**2), z = y - model.
 Mean removal profiles out the floor exactly, so rho never enters the
@@ -96,7 +110,10 @@ class SearchGrid:
             raise ValueError("n_phi and refine must be at least 1")
 
     def freq_values(self) -> np.ndarray:
-        n = int(round((self.f_hi - self.f_lo) / self.df))
+        """Coarse ladder f_lo + df k, k = 0 .. floor((f_hi - f_lo) / df),
+        never past f_hi; the 1e-9 relative slack keeps a span that df
+        divides up to rounding (df = 0.1) at its last point."""
+        n = int(np.floor((self.f_hi - self.f_lo) / self.df * (1.0 + 1e-9)))
         return self.f_lo + self.df * np.arange(n + 1)
 
 
@@ -232,12 +249,14 @@ def _circular_level(t, y, dphase, a, f):
 
 
 def _resultant_mags(t, y, dphase, a, f_start, f_step, count):
-    """|R(f)| on the uniform frequency ladder f_start + f_step * k.
+    """|R(f)| on the uniform frequency ladder f_start + f_step * k, for
+    any time grid.
 
     Stepping multiplies the running phasor by exp(-2 pi i f_step t)
     instead of re-exponentiating per frequency; the accumulated rounding
     over a few thousand steps is ~1e-13 relative, far below the noise
-    contrast the magnitudes are compared at.
+    contrast the magnitudes are compared at.  Costs N per step, so it
+    serves short ladders (the refine window) and non-uniform grids.
     """
     base = _TWO_PI * (y / a - dphase - f_start * t)
     cur = np.exp(1j * base)
@@ -247,6 +266,40 @@ def _resultant_mags(t, y, dphase, a, f_start, f_step, count):
         mags[k] = abs(cur.sum())
         cur *= step
     return mags
+
+
+def _chirp_z_mags(t, y, dphase, a, f_start, f_step, count, weight=None):
+    """|R(f)| on the same ladder as :func:`_resultant_mags`, for a grid
+    t_j = tau j, as one Bluestein chirp-z transform.
+
+    With W = exp(-2 pi i f_step tau), R_k = sum_j x_j W^(jk) where x_j
+    carries the f_start phasor and the optional per-sample weight.
+    Writing jk = (j^2 + k^2 - (k - j)^2) / 2 turns the sum into the
+    convolution of x_j W^(j^2/2) with W^(-m^2/2), taken by FFT; the
+    leading W^(k^2/2) has unit modulus and is dropped.
+
+    The chirp angle pi c m^2, c = f_step tau, reaches pi c N^2, far past
+    the accumulated angles of the loop.  Splitting c into a 24-bit head,
+    whose product with m^2 < 2^29 is exact and is reduced mod 2 exactly,
+    plus a tail keeps the angle as precise as the loop's.
+    """
+    n = t.size
+    m2 = np.arange(max(n, count), dtype=float) ** 2
+    c = f_step * t[1]
+    c_hi = float(np.float32(c))
+    chirp = np.exp(1j * np.pi * (np.fmod(c_hi * m2, 2.0) + (c - c_hi) * m2))
+    size = 1 << (n + count - 2).bit_length()   # >= n + count - 1: no wrap
+    kern = np.zeros(size, dtype=complex)
+    kern[:count] = chirp[:count]
+    kern[size - n + 1:] = chirp[n - 1:0:-1]
+    x = np.zeros(size, dtype=complex)
+    x[:n] = (np.exp(1j * _TWO_PI * (y / a - dphase - f_start * t))
+             * chirp[:n].conj())
+    if weight is not None:
+        x[:n] *= weight
+    x = np.fft.fft(x, out=x)                   # in place: two buffers only
+    x *= np.fft.fft(kern, out=kern)
+    return np.abs(np.fft.ifft(x, out=x)[:count])
 
 
 def _best_phi_index(t, y, dphase, a, f, n_phi):
@@ -279,6 +332,13 @@ def grid_search(epoch: MeasurementEpoch, consts: ProtocolConstants, *,
         Known per-ping dither (the collector knows its own draws).
     sample_mask : boolean array, optional
         Restrict the fit to a subset of pings.
+
+    The coarse ladder is one chirp-z transform when ``epoch.t_vec`` is
+    exactly ``t_vec[1] * arange(n)`` (a mask leaves that grid whole),
+    and the stepping loop otherwise; see the module docstring.
+
+    Raises ValueError with fewer than two usable samples, or when on
+    such a grid the coarse ladder spans the alias period 1 / t_vec[1].
     """
     if grid is None:
         grid = SearchGrid()
@@ -290,17 +350,27 @@ def grid_search(epoch: MeasurementEpoch, consts: ProtocolConstants, *,
     d = None
     if delta_vec is not None:
         d = np.broadcast_to(np.asarray(delta_vec, dtype=float), t.shape)
-    if sample_mask is not None:
-        keep = np.asarray(sample_mask, dtype=bool)
-        t, y = t[keep], y[keep]
-        if d is not None:
-            d = d[keep]
-    if t.size < 2:
+    keep = (None if sample_mask is None
+            else np.asarray(sample_mask, dtype=bool))
+    if (t.size if keep is None else np.count_nonzero(keep)) < 2:
         raise ValueError("grid search needs at least two usable samples")
     dphase = 0.0 if d is None else d / t_b
 
-    n_coarse = int(round((grid.f_hi - grid.f_lo) / grid.df)) + 1
-    mags = _resultant_mags(t, y, dphase, a, grid.f_lo, grid.df, n_coarse)
+    n_coarse = grid.freq_values().size
+    uniform = np.array_equal(t, t[1] * np.arange(t.size))
+    if uniform:
+        if (n_coarse - 1) * grid.df * t[1] >= 1.0:
+            raise ValueError(
+                f"coarse ladder spans {(n_coarse - 1) * grid.df:g} Hz, not "
+                f"below the alias period 1 / t_m = {1.0 / t[1]:g} Hz")
+        mags = _chirp_z_mags(t, y, dphase, a, grid.f_lo, grid.df, n_coarse,
+                             keep)
+    if keep is not None:
+        t, y = t[keep], y[keep]
+        if d is not None:
+            d, dphase = d[keep], dphase[keep]
+    if not uniform:
+        mags = _resultant_mags(t, y, dphase, a, grid.f_lo, grid.df, n_coarse)
     i_c = int(np.argmax(mags))          # first occurrence: smallest f wins ties
     f_c = grid.f_lo + grid.df * i_c
     at_edge = i_c in (0, n_coarse - 1)

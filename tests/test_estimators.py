@@ -10,7 +10,9 @@ observed values but stay well inside the documented targets.
 
 import numpy as np
 import pytest
+import scipy.signal
 import scipy.stats
+from hypothesis import example, given, settings, strategies as st
 
 from climex import (
     ClockParams,
@@ -33,7 +35,7 @@ from climex import (
     run_climex_epoch,
     run_rtt_epoch,
 )
-from climex.estimators import _phase_costs
+from climex.estimators import _chirp_z_mags, _phase_costs, _resultant_mags
 
 
 # ----------------------------------------------------------------------
@@ -89,6 +91,88 @@ def test_search_grid_validation():
         SearchGrid(n_phi=0)
     with pytest.raises(ValueError):
         SearchGrid(refine=0)
+
+
+def test_freq_values_stop_at_f_hi():
+    default = SearchGrid().freq_values()
+    assert default.size == 2001 and default[-1] == 1000.0
+    # 2000 / 3 is not whole: the ladder stops at 998, not 1001
+    three = SearchGrid(df=3.0).freq_values()
+    assert three.size == 667 and three[-1] == 998.0
+    seven = SearchGrid(df=0.7).freq_values()
+    assert seven.size == 2858 and 1000.0 - 0.7 < seven[-1] <= 1000.0
+    # 2000 / 0.1 divides up to rounding, so 1000 stays the last point
+    tenth = SearchGrid(df=0.1).freq_values()
+    assert tenth.size == 20001 and tenth[-1] == pytest.approx(1000.0)
+
+
+# ----------------------------------------------------------------------
+# coarse ladder: chirp-z transform against the stepping loop
+# ----------------------------------------------------------------------
+
+
+def _ladder_inputs(seed, n, locked):
+    # a known dither phase per sample; a locked epoch carries it, so its
+    # phasors line up at 0.37 cycles per sample
+    rng = np.random.default_rng(seed)
+    a = 1.0e-8
+    dphase = rng.uniform(0.0, 1.0, n)
+    if locked:
+        y = a * np.mod(0.37 * np.arange(n) + dphase
+                       + 0.01 * rng.normal(size=n), 1.0)
+    else:
+        y = rng.uniform(0.0, a, n)
+    keep = rng.random(n) < 0.8
+    keep[:2] = True
+    return y, dphase, a, keep
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 3000),
+       log_tau=st.floats(-7.0, -1.0),
+       count=st.integers(1, 3000),
+       span=st.floats(0.0, 0.999),
+       lo=st.floats(-2.0, 2.0),
+       seed=st.integers(0, 2**32 - 1),
+       locked=st.booleans(),
+       masked=st.booleans())
+# a short ladder near the alias period on a long grid, between the
+# comb's peaks (R ~ 1 of N = 3000): the chirp angle pi c m^2 reaches
+# ~3e7 rad, and an unreduced angle misses there by 1e-8 of the peak
+@example(n=3000, log_tau=-3.0, count=2, span=0.99, lo=-0.5, seed=3,
+         locked=True, masked=False)
+def test_chirp_z_ladder_matches_loop(n, log_tau, count, span, lo, seed,
+                                     locked, masked):
+    # any ladder short of the alias period 1 / tau, on random phasors or
+    # a locked comb; zero weights must equal dropping the samples
+    tau = 10.0 ** log_tau
+    df = span / (tau * max(count - 1, 1))
+    f_lo = lo / tau
+    t = tau * np.arange(n)
+    y, dphase, a, keep = _ladder_inputs(seed, n, locked)
+    if not masked:
+        keep[:] = True
+    czt = _chirp_z_mags(t, y, dphase, a, f_lo, df, count,
+                        keep if masked else None)
+    loop = _resultant_mags(t[keep], y[keep], dphase[keep], a, f_lo, df, count)
+    assert np.max(np.abs(czt - loop)) <= 1e-9 * np.max(loop)
+
+
+@pytest.mark.parametrize("n, tau, f_lo, df, count, masked", [
+    (10000, 1.0e-4, -1000.0, 1.0, 2001, False),   # the default ladder
+    (10000, 1.0e-4, -1000.0, 0.7, 2858, False),   # df not dividing the span
+    (200, 1.0e-4, -1000.0, 1.0, 2001, True),      # a short masked refit
+])
+def test_chirp_z_ladder_matches_scipy_czt(n, tau, f_lo, df, count, masked):
+    t = tau * np.arange(n)
+    y, dphase, a, keep = _ladder_inputs(7, n, locked=True)
+    w = keep if masked else np.ones(n, dtype=bool)
+    x = w * np.exp(2j * np.pi * (y / a - dphase - f_lo * t))
+    ref = np.abs(scipy.signal.czt(x, count, np.exp(-2j * np.pi * df * tau),
+                                  1.0))
+    got = _chirp_z_mags(t, y, dphase, a, f_lo, df, count,
+                        keep if masked else None)
+    assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(ref)
 
 
 # ----------------------------------------------------------------------
@@ -253,6 +337,62 @@ def test_sample_mask_excludes_corruption(clock_pair, scenario, consts,
                       sample_mask=mask)
     assert abs(est.f_d_hat - 500.3) < 0.05
     assert abs(est.rho_hat - 3.0) < 0.01
+
+
+def test_grid_search_refuses_aliased_grid(clock_pair, scenario, consts,
+                                          zero_noise):
+    # at t_m = 1 ms the resultant repeats every 1 kHz: the default
+    # +-1 kHz ladder holds 500 Hz and -500 Hz as an exact tie
+    ini, res = clock_pair(500.0)
+    ep, _ = run_rtt_epoch(ini, res, scenario(n_pings=1000, seed=11, t_m=1e-3),
+                          consts, zero_noise)
+    amp = 1.0 / consts.f_nominal
+    with pytest.raises(ValueError, match="alias period"):
+        grid_search(ep, consts, amplitude=amp)
+    with pytest.raises(ValueError, match="alias period"):
+        grid_search(ep, consts, amplitude=amp,
+                    grid=SearchGrid(f_lo=-500.0, f_hi=500.0))
+    est = grid_search(ep, consts, amplitude=amp,
+                      grid=SearchGrid(f_lo=-400.0, f_hi=599.0))
+    assert abs(est.f_d_hat - 500.0) < 0.05
+
+
+def test_masked_fit_equals_fit_on_kept_samples(clock_pair, scenario, consts,
+                                               desk_noise):
+    # the mask keeps the uniform grid (transform, zero weights); the kept
+    # samples alone form a non-uniform grid (loop): same fit, exactly
+    ini, res = clock_pair(313.7)
+    for kind, seed in (("none", 21), ("uniform", 22)):
+        cfg = scenario(n_pings=10000, seed=seed, dither=kind)
+        ep, log = run_climex_epoch(ini, res, cfg, consts, desk_noise)
+        keep = np.random.default_rng(seed).random(ep.n) > 0.05
+        masked = grid_search(ep, consts, amplitude=consts.a_scale,
+                             delta_vec=log.delta, sample_mask=keep)
+        sub = MeasurementEpoch(ep.t_prime, ep.t_vec[keep], ep.y_vec[keep])
+        kept = grid_search(sub, consts, amplitude=consts.a_scale,
+                           delta_vec=log.delta[keep])
+        assert masked == kept
+
+
+@pytest.mark.parametrize("f_d, noise, grid, edge", [
+    (313.7, "desk_noise", None, False),
+    (47.3, "desk_noise", None, False),
+    (500.3, "zero_noise", SearchGrid(f_lo=-50.0, f_hi=50.0), True),
+])
+def test_one_ulp_off_grid_takes_loop_with_same_pick(request, clock_pair,
+                                                    scenario, consts, f_d,
+                                                    noise, grid, edge):
+    ini, res = clock_pair(f_d)
+    ep, _ = run_rtt_epoch(ini, res, scenario(n_pings=10000, seed=31),
+                          consts, request.getfixturevalue(noise))
+    t = ep.t_vec.copy()
+    t[-1] = np.nextafter(t[-1], np.inf)
+    amp = 1.0 / consts.f_nominal
+    exact = grid_search(ep, consts, amplitude=amp, grid=grid)
+    nudged = grid_search(MeasurementEpoch(ep.t_prime, t, ep.y_vec), consts,
+                         amplitude=amp, grid=grid)
+    assert nudged.f_d_hat == exact.f_d_hat
+    assert nudged.at_grid_edge == exact.at_grid_edge == edge
 
 
 # ----------------------------------------------------------------------
