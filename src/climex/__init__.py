@@ -38,7 +38,6 @@ from .estimators import (
     SearchGrid,
     complete_estimate,
     cost_J,
-    counterpart_frequency,
     grid_search,
     model_fold_values,
     phase_error,

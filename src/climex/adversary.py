@@ -28,6 +28,7 @@ import numpy as np
 from .estimators import (
     ParamEstimate,
     SearchGrid,
+    dither_cycles,
     grid_search,
     model_fold_values,
 )
@@ -55,11 +56,15 @@ __all__ = [
     "remeasure_epoch",
     "detect_outliers",
     "robust_parameter_fit",
+    "mad_deviations",
     "CONSISTENCY_CONSTANT",
 ]
 
 # MAD to sigma for a normal population
 CONSISTENCY_CONSTANT = 1.4826
+
+# how far ahead of the honest respond an oracle forgery lands, s
+_ORACLE_LEAD_S = 1.0e-12
 
 _MIN_EPOCH = 16
 
@@ -150,9 +155,7 @@ def eve_interarrival_epoch(log: ArrivalLog, eve_clock: ClockParams,
     vals = fold(t_e * cycles_to_next_edge(eve_clock, arr) + latch_noise, t_e)
     rec = arr + stamp_noise
     slope, icpt = _comb_fit(rec)
-    return MeasurementEpoch(t_prime=float(icpt),
-                            t_vec=slope * np.arange(n, dtype=float),
-                            y_vec=vals)
+    return MeasurementEpoch(t_prime=float(icpt), t_m=slope, y_vec=vals)
 
 
 def _comb_fit(times: np.ndarray):
@@ -183,13 +186,8 @@ def eve_estimate_rtt(epoch: EveEpoch, consts: ProtocolConstants,
     if m < 1:
         raise ValueError("ping comb spacing is shorter than a clock period")
     f_a_hat = m / slope
-    t_nom = 1.0 / consts.f_nominal
-    n = epoch.ping_times.size
-    fit_epoch = MeasurementEpoch(t_prime=icpt,
-                                 t_vec=slope * np.arange(n, dtype=float),
-                                 y_vec=epoch.tdoa)
-    est = grid_search(fit_epoch, consts, amplitude=t_nom, t_b_model=t_nom,
-                      grid=grid)
+    fit_epoch = MeasurementEpoch(t_prime=icpt, t_m=slope, y_vec=epoch.tdoa)
+    est = grid_search(fit_epoch, consts, grid=grid)
     f_b_hat = f_a_hat - est.f_d_hat
     if f_b_hat <= 0.0:
         raise ValueError("responder frequency came out non-positive")
@@ -237,8 +235,8 @@ def make_random_timing_plan(log: ArrivalLog, rho_ae: float, n_attack: int,
 
 
 def make_oracle_plan(log: ArrivalLog, rho_ae: float, n_attack: int,
-                     rng=None, lead: float = 1.0e-12) -> InjectionPlan:
-    """Forgeries timed from ground truth to preempt by ``lead`` seconds.
+                     rng=None) -> InjectionPlan:
+    """Forgeries timed from ground truth to preempt by 1 ps.
 
     An upper bound on the injector, not a realizable attacker: it reads
     the honest respond arrivals from the log and lands just ahead of
@@ -248,10 +246,8 @@ def make_oracle_plan(log: ArrivalLog, rho_ae: float, n_attack: int,
     n = log.ping_emit.size
     if not 0 < n_attack <= n:
         raise ValueError("n_attack must be in [1, n_pings]")
-    if lead <= 0.0:
-        raise ValueError("lead must be positive")
     idx = np.sort(g.choice(n, size=n_attack, replace=False))
-    emit = log.respond_arrive[idx] - lead - rho_ae / log.consts.c
+    emit = log.respond_arrive[idx] - _ORACLE_LEAD_S - rho_ae / log.consts.c
     w_seed = int(g.integers(2**63))
     return InjectionPlan(indices=idx, emit_times=emit, rho_ea=rho_ae,
                          w_seed=w_seed)
@@ -290,9 +286,7 @@ def remeasure_epoch(log: ArrivalLog, plan: InjectionPlan):
     y = (first - log.ping_emit) + w
     if np.any(y < 0.0):
         raise ValueError("a forged respond precedes its ping")
-    epoch = MeasurementEpoch(t_prime=log.t_prime,
-                             t_vec=log.cfg.t_m * np.arange(y.size, dtype=float),
-                             y_vec=y)
+    epoch = MeasurementEpoch(t_prime=log.t_prime, t_m=log.cfg.t_m, y_vec=y)
     return epoch, won
 
 
@@ -303,44 +297,50 @@ def remeasure_epoch(log: ArrivalLog, plan: InjectionPlan):
 
 def _circular_residuals(epoch: MeasurementEpoch, est: ParamEstimate,
                         consts: ProtocolConstants, amplitude: float,
-                        t_b_model: float | None, delta_vec):
-    t_b = (1.0 / consts.f_nominal) if t_b_model is None else t_b_model
+                        delta_vec):
     m = model_fold_values(epoch.t_vec, est.f_d_hat, est.phi_hat, amplitude,
-                          t_b, delta_vec)
+                          dither_cycles(delta_vec, consts, epoch.n))
     full = m + consts.delta_0 + 2.0 * est.rho_hat / consts.c
     half = amplitude / 2.0
     return fold(epoch.y_vec - full + half, amplitude) - half
 
 
+def mad_deviations(r: np.ndarray):
+    """Absolute deviations of ``r`` about its median, and their median
+    absolute deviation scaled to a normal sigma.  Returns
+    ``(deviations, sigma_hat)``."""
+    dev = np.abs(r - np.median(r))
+    return dev, CONSISTENCY_CONSTANT * float(np.median(dev))
+
+
 def detect_outliers(epoch: MeasurementEpoch, est: ParamEstimate,
                     consts: ProtocolConstants, amplitude: float, *,
-                    t_b_model: float | None = None, delta_vec=None,
-                    k: float = 4.0):
+                    delta_vec=None, k: float = 4.0):
     """Flag measurements inconsistent with the fitted sawtooth.
 
     Residuals are taken circularly (folded to [-amplitude/2,
     amplitude/2)) so benign wraps of the sawtooth never flag.  The
     scale is the median absolute deviation about the median, scaled to
-    sigma; a point flags when its deviation exceeds k of those.
+    sigma (:func:`mad_deviations`); a point flags when its deviation
+    exceeds k of those.
 
     Returns ``(flags, residuals)``.
     """
     if epoch.n < _MIN_EPOCH:
         raise ShortEpochError(f"need at least {_MIN_EPOCH} measurements")
-    r = _circular_residuals(epoch, est, consts, amplitude, t_b_model, delta_vec)
-    dev = np.abs(r - np.median(r))
-    sigma_hat = CONSISTENCY_CONSTANT * np.median(dev)
+    r = _circular_residuals(epoch, est, consts, amplitude, delta_vec)
+    dev, sigma_hat = mad_deviations(r)
     return dev > k * sigma_hat, r
 
 
 def robust_parameter_fit(epoch: MeasurementEpoch, consts: ProtocolConstants, *,
-                         amplitude: float | None = None,
-                         t_b_model: float | None = None,
+                         amplitude: float,
                          grid: SearchGrid | None = None, delta_vec=None,
                          trim: float = 0.05):
     """Grid search hardened against a contaminated epoch.
 
-    Fits once, drops the ``trim`` fraction with the largest circular
+    ``amplitude`` is the model's, as for :func:`detect_outliers`.  Fits
+    once, drops the ``trim`` fraction with the largest circular
     deviations, and refits on the survivors.  Returns ``(estimate,
     keep_mask)``.
     """
@@ -348,13 +348,11 @@ def robust_parameter_fit(epoch: MeasurementEpoch, consts: ProtocolConstants, *,
         raise ShortEpochError(f"need at least {_MIN_EPOCH} measurements")
     if not 0.0 <= trim < 0.5:
         raise ValueError("trim must be in [0, 0.5)")
-    t_b = (1.0 / consts.f_nominal) if t_b_model is None else t_b_model
-    a = t_b if amplitude is None else amplitude
-    est0 = grid_search(epoch, consts, amplitude=a, t_b_model=t_b, grid=grid,
+    est0 = grid_search(epoch, consts, amplitude=amplitude, grid=grid,
                        delta_vec=delta_vec)
-    r = _circular_residuals(epoch, est0, consts, a, t_b, delta_vec)
-    dev = np.abs(r - np.median(r))
+    dev, _ = mad_deviations(_circular_residuals(epoch, est0, consts,
+                                                amplitude, delta_vec))
     keep = dev <= np.quantile(dev, 1.0 - trim)
-    est1 = grid_search(epoch, consts, amplitude=a, t_b_model=t_b, grid=grid,
+    est1 = grid_search(epoch, consts, amplitude=amplitude, grid=grid,
                        delta_vec=delta_vec, sample_mask=keep)
     return est1, keep

@@ -15,9 +15,9 @@ import sys
 import numpy as np
 
 from .adversary import (
-    CONSISTENCY_CONSTANT,
     ShortEpochError,
     detect_outliers,
+    mad_deviations,
     make_oracle_plan,
     make_random_timing_plan,
     remeasure_epoch,
@@ -38,8 +38,18 @@ from .sweep import log_spaced_values, run_sweep
 __all__ = ["main"]
 
 
+# every number is written with 13 significant digits
+_DIGITS = 13
+
+# A written time is off by at most half a unit in its 13th digit, 5e-13
+# of its value; checking row j against j times row 1 meets two such
+# errors.  The tolerance is twice their sum, for the check's own
+# rounding.
+_COMB_RTOL = 2.0 * 10.0 ** (1 - _DIGITS)
+
+
 def _fmt(x) -> str:
-    return format(float(x), ".12e")
+    return format(float(x), f".{_DIGITS - 1}e")
 
 
 def _write_lines(lines, out_path) -> None:
@@ -131,9 +141,17 @@ def _read_epoch_csv(path: str) -> MeasurementEpoch:
             raise ConfigError(f"{path} line {lineno}: bad number") from None
     if t_prime is None:
         raise ConfigError(f"{path}: missing '# t_prime_s = ...' header")
-    if not t_rows:
-        raise ConfigError(f"{path}: no measurement rows")
-    return MeasurementEpoch(t_prime=t_prime, t_vec=np.asarray(t_rows),
+    if len(t_rows) < 2:
+        raise ConfigError(f"{path}: need at least two measurement rows")
+    # the pings form a comb t_m * j: row j = 1 gives t_m, and every row
+    # must agree with the comb to the digits it was written with
+    t_m = t_rows[1]
+    comb = t_m * np.arange(len(t_rows), dtype=float)
+    if not (t_m > 0.0 and np.all(np.abs(np.asarray(t_rows) - comb)
+                                  <= _COMB_RTOL * comb)):
+        raise ConfigError(f"{path}: time column is not a ping comb "
+                          f"t_m * j, t_m = {t_rows[1]!r} from row 1")
+    return MeasurementEpoch(t_prime=t_prime, t_m=t_m,
                             y_vec=np.asarray(y_rows))
 
 
@@ -231,8 +249,7 @@ def cmd_detect(args) -> int:
                                   trim=setup.detect_trim)
     flags, resid = detect_outliers(epoch, est, setup.consts, amp,
                                    delta_vec=delta_vec, k=setup.detect_k)
-    dev = np.abs(resid - np.median(resid))
-    sigma_hat = CONSISTENCY_CONSTANT * float(np.median(dev))
+    _, sigma_hat = mad_deviations(resid)
     lines = [
         f"n_pings = {n}",
         f"n_attacked = {int(attacked.sum())}",

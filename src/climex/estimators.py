@@ -22,19 +22,14 @@ At the true frequency the angles pile up (R ~ N), anywhere else they
 decohere (R ~ sqrt(N)).  R is invariant to phi and to the constant
 floor, so the stage estimates f alone.
 
-On a uniform time grid t_j = tau j the coarse ladder f_lo + df k is a
-chirp-z transform of the sample phasors (Rabiner, Schafer and Rader
-1969), computed by Bluestein's FFT convolution in O((N + K) log(N + K))
-instead of N K.  The transform applies when ``t_vec`` equals
-``t_vec[1] * arange(N)`` bit for bit, which holds for every grid the
-package builds (``run_exchange``, ``remeasure_epoch`` and the
-listener's comb-fit grid); a masked refit keeps the full grid and gives
-dropped samples zero weight.  On such a grid R(f) repeats with period
-1 / tau, so a coarse ladder spanning a full period holds exact alias
-ties and is refused.  A non-uniform grid (an epoch read from CSV) and
-the short refine ladder step a running phasor instead.  Either way the
-pick is a ladder point, so the two paths differ only where rounding
-(~1e-12 of the peak on the default ladder) would split a near-tie.
+Every epoch sits on the ping comb t_j = t_m j, so the coarse ladder
+f_lo + df k is a chirp-z transform of the sample phasors (Rabiner,
+Schafer and Rader 1969), computed by Bluestein's FFT convolution in
+O((N + K) log(N + K)) instead of N K.  A masked refit keeps the full
+comb and gives dropped samples zero weight.  On the comb R(f) repeats
+with period 1 / t_m, so a coarse ladder spanning a full period holds
+exact alias ties and is refused.  The short refine ladder around the
+coarse pick steps a running phasor instead.
 
 Phase stage.  At the selected frequency the phase is read from the
 least-squares profile J(phi) = sum((z - mean(z))**2), z = y - model.
@@ -67,8 +62,8 @@ __all__ = [
     "DEFAULT_T_TEST_OFFSET",
     "cost_J",
     "model_fold_values",
+    "dither_cycles",
     "grid_search",
-    "counterpart_frequency",
     "predict_phi_test",
     "complete_estimate",
     "phase_error",
@@ -153,19 +148,26 @@ def cost_J(y_vec, model_vec) -> float:
 
 
 def model_fold_values(t_vec, f_d: float, phi: float, amplitude: float,
-                      t_b_model: float, delta_vec=None) -> np.ndarray:
+                      dither_cycles=0.0) -> np.ndarray:
     """Noise-free folded sawtooth at the given parameters.
 
-    ``amplitude * fold(f_d t + phi / 2 pi + delta / t_b_model, 1)``.
-    This is the model the grid search scores: the noise-free
-    :func:`climex.signal_model.sawtooth` written in cycles, equal to it
-    up to float rounding.
+    ``amplitude * fold(f_d t + phi / 2 pi + dither_cycles, 1)``, with
+    the known dither in cycles of the nominal period (see
+    :func:`dither_cycles`).  This is the model the grid search scores:
+    the noise-free :func:`climex.signal_model.sawtooth` written in
+    cycles, equal to it up to float rounding.
     """
     t = np.asarray(t_vec, dtype=float)
-    u = f_d * t + phi / _TWO_PI
-    if delta_vec is not None:
-        u = u + np.asarray(delta_vec, dtype=float) / t_b_model
-    return amplitude * fold(u, 1.0)
+    return amplitude * fold(f_d * t + phi / _TWO_PI + dither_cycles, 1.0)
+
+
+def dither_cycles(delta_vec, consts: ProtocolConstants, n: int):
+    """A known per-ping dither (s) in cycles of the nominal period,
+    broadcast to ``n`` pings; 0.0 without one."""
+    if delta_vec is None:
+        return 0.0
+    d = np.broadcast_to(np.asarray(delta_vec, dtype=float), (n,))
+    return d / (1.0 / consts.f_nominal)
 
 
 # ======================================================================
@@ -250,13 +252,14 @@ def _circular_level(t, y, dphase, a, f):
 
 def _resultant_mags(t, y, dphase, a, f_start, f_step, count):
     """|R(f)| on the uniform frequency ladder f_start + f_step * k, for
-    any time grid.
+    any set of sample times.
 
     Stepping multiplies the running phasor by exp(-2 pi i f_step t)
     instead of re-exponentiating per frequency; the accumulated rounding
     over a few thousand steps is ~1e-13 relative, far below the noise
     contrast the magnitudes are compared at.  Costs N per step, so it
-    serves short ladders (the refine window) and non-uniform grids.
+    serves only the short refine window; the tests also use it as the
+    oracle of :func:`_chirp_z_mags`.
     """
     base = _TWO_PI * (y / a - dphase - f_start * t)
     cur = np.exp(1j * base)
@@ -311,9 +314,8 @@ def _best_phi_index(t, y, dphase, a, f, n_phi):
 
 
 def grid_search(epoch: MeasurementEpoch, consts: ProtocolConstants, *,
-                amplitude: float | None = None, t_b_model: float | None = None,
-                grid: SearchGrid | None = None, delta_vec=None,
-                sample_mask=None) -> ParamEstimate:
+                amplitude: float | None = None, grid: SearchGrid | None = None,
+                delta_vec=None, sample_mask=None) -> ParamEstimate:
     """Fit (f_d, phi) by exhaustive search, then read rho off the floor.
 
     Parameters
@@ -324,53 +326,41 @@ def grid_search(epoch: MeasurementEpoch, consts: ProtocolConstants, *,
         Sawtooth amplitude of the model.  Defaults to the nominal
         responder period (the plain round-trip reading); pass
         ``consts.a_scale`` when fitting scaled epochs.
-    t_b_model : float, optional
-        Modulus used to convert a known dither vector to cycles.
-        Defaults to the nominal period.
     grid : SearchGrid, optional
     delta_vec : array_like, optional
-        Known per-ping dither (the collector knows its own draws).
+        Known per-ping dither, s (the collector knows its own draws).
     sample_mask : boolean array, optional
         Restrict the fit to a subset of pings.
 
-    The coarse ladder is one chirp-z transform when ``epoch.t_vec`` is
-    exactly ``t_vec[1] * arange(n)`` (a mask leaves that grid whole),
-    and the stepping loop otherwise; see the module docstring.
+    The coarse ladder is one chirp-z transform on the epoch's ping comb
+    (a mask gives dropped pings zero weight); the refine window steps a
+    running phasor.  See the module docstring.
 
-    Raises ValueError with fewer than two usable samples, or when on
-    such a grid the coarse ladder spans the alias period 1 / t_vec[1].
+    Raises ValueError with fewer than two usable samples, or when the
+    coarse ladder spans the alias period 1 / t_m.
     """
     if grid is None:
         grid = SearchGrid()
-    t_b = (1.0 / consts.f_nominal) if t_b_model is None else t_b_model
-    a = t_b if amplitude is None else amplitude
+    a = (1.0 / consts.f_nominal) if amplitude is None else amplitude
 
     t = epoch.t_vec
     y = epoch.y_vec
-    d = None
-    if delta_vec is not None:
-        d = np.broadcast_to(np.asarray(delta_vec, dtype=float), t.shape)
+    dphase = dither_cycles(delta_vec, consts, t.size)
     keep = (None if sample_mask is None
             else np.asarray(sample_mask, dtype=bool))
     if (t.size if keep is None else np.count_nonzero(keep)) < 2:
         raise ValueError("grid search needs at least two usable samples")
-    dphase = 0.0 if d is None else d / t_b
 
     n_coarse = grid.freq_values().size
-    uniform = np.array_equal(t, t[1] * np.arange(t.size))
-    if uniform:
-        if (n_coarse - 1) * grid.df * t[1] >= 1.0:
-            raise ValueError(
-                f"coarse ladder spans {(n_coarse - 1) * grid.df:g} Hz, not "
-                f"below the alias period 1 / t_m = {1.0 / t[1]:g} Hz")
-        mags = _chirp_z_mags(t, y, dphase, a, grid.f_lo, grid.df, n_coarse,
-                             keep)
+    if (n_coarse - 1) * grid.df * epoch.t_m >= 1.0:
+        raise ValueError(
+            f"coarse ladder spans {(n_coarse - 1) * grid.df:g} Hz, not "
+            f"below the alias period 1 / t_m = {1.0 / epoch.t_m:g} Hz")
+    mags = _chirp_z_mags(t, y, dphase, a, grid.f_lo, grid.df, n_coarse, keep)
     if keep is not None:
         t, y = t[keep], y[keep]
-        if d is not None:
-            d, dphase = d[keep], dphase[keep]
-    if not uniform:
-        mags = _resultant_mags(t, y, dphase, a, grid.f_lo, grid.df, n_coarse)
+        if delta_vec is not None:
+            dphase = dphase[keep]
     i_c = int(np.argmax(mags))          # first occurrence: smallest f wins ties
     f_c = grid.f_lo + grid.df * i_c
     at_edge = i_c in (0, n_coarse - 1)
@@ -400,8 +390,7 @@ def grid_search(epoch: MeasurementEpoch, consts: ProtocolConstants, *,
         p_hat = fold((xi - consts.delta_0 - 2.0 * rho_hat / consts.c) / a, 1.0)
     phi_hat = _TWO_PI * p_hat
 
-    model = model_fold_values(t, f_hat, phi_hat, a, t_b,
-                              None if d is None else d)
+    model = model_fold_values(t, f_hat, phi_hat, a, dphase)
     return ParamEstimate(f_d_hat=f_hat, phi_hat=phi_hat, rho_hat=rho_hat,
                          cost=cost_J(y, model), at_grid_edge=bool(at_edge))
 
@@ -411,28 +400,13 @@ def grid_search(epoch: MeasurementEpoch, consts: ProtocolConstants, *,
 # ======================================================================
 
 
-def counterpart_frequency(own_f_hz: float, f_d_hat: float, role: str) -> float:
-    """Counterpart frequency from one's own frequency and the beat.
-
-    The beat is quoted in the global initiator-minus-responder
-    convention, f_d = f_initiator - f_responder.  A collector's own
-    grid search always returns its local beat (own minus counterpart);
-    an initiator can use that value directly, a responder must negate
-    it before applying the global convention here.
-    """
-    if role in ("initiator", "alice"):
-        return own_f_hz - f_d_hat
-    if role in ("responder", "bob"):
-        return own_f_hz + f_d_hat
-    raise ValueError(f"unknown role {role!r}")
-
-
 def predict_phi_test(est: ParamEstimate, own_f_hz: float, t_prime: float,
-                     t_test: float, consts: ProtocolConstants,
-                     role: str = "initiator") -> float:
+                     t_test: float, consts: ProtocolConstants) -> float:
     """Predict the counterpart's local check phase at ``t_test``.
 
-    The epoch phase anchors the counterpart's edge comb: the estimated
+    ``est`` is the collector's own fit, so its beat is the local one
+    (own minus counterpart) and the counterpart runs at
+    f_c = own_f_hz - f_d_hat.  The epoch phase anchors the counterpart's edge comb: the estimated
     gap to its next edge, seen from the epoch-opening arrival, is
     phi_hat / (2 pi f_c) seconds at t_prime + rho / c.  Walking that
     comb to the test time gives the phase the counterpart will measure
@@ -448,7 +422,7 @@ def predict_phi_test(est: ParamEstimate, own_f_hz: float, t_prime: float,
     if est.f_d_hat == 0.0:
         raise ValueError("estimated beat frequency is zero; counterpart "
                          "phase is unobservable from this epoch")
-    f_c = counterpart_frequency(own_f_hz, est.f_d_hat, role)
+    f_c = own_f_hz - est.f_d_hat
     if f_c <= 0.0:
         raise ValueError("counterpart frequency came out non-positive")
     g0 = est.phi_hat / (_TWO_PI * f_c)
@@ -459,8 +433,7 @@ def predict_phi_test(est: ParamEstimate, own_f_hz: float, t_prime: float,
 
 def complete_estimate(epoch: MeasurementEpoch, own_f_hz: float,
                       consts: ProtocolConstants, *, grid: SearchGrid | None = None,
-                      amplitude: float | None = None, t_b_model: float | None = None,
-                      delta_vec=None,
+                      amplitude: float | None = None, delta_vec=None,
                       t_test: float | None = None) -> CounterpartEstimate:
     """Grid search plus everything derived from it, in one call.
 
@@ -468,16 +441,12 @@ def complete_estimate(epoch: MeasurementEpoch, own_f_hz: float,
     is in the collector-local convention and the counterpart frequency
     is own_f minus beat regardless of which side is calling.
     """
-    est = grid_search(epoch, consts, amplitude=amplitude, t_b_model=t_b_model,
-                      grid=grid, delta_vec=delta_vec)
-    local_beat = est.f_d_hat
-    f_cp = own_f_hz - local_beat
-    if f_cp <= 0.0:
-        raise ValueError("counterpart frequency came out non-positive")
+    est = grid_search(epoch, consts, amplitude=amplitude, grid=grid,
+                      delta_vec=delta_vec)
     if t_test is None:
         t_test = epoch.t_prime + DEFAULT_T_TEST_OFFSET
-    phi_test = predict_phi_test(est, own_f_hz, epoch.t_prime, t_test, consts,
-                                role="initiator")
+    phi_test = predict_phi_test(est, own_f_hz, epoch.t_prime, t_test, consts)
+    f_cp = own_f_hz - est.f_d_hat
     return CounterpartEstimate(estimate=est, f_counterpart_hz=f_cp,
                                t_b_hat=1.0 / f_cp, phi_test_hat=phi_test,
                                t_test=t_test)

@@ -207,22 +207,17 @@ class ArrivalLog:
     their observables from here, and tests read the hidden truth.
     """
 
-    kind: str
     t_prime: float
     t_m_eff: float
     amplitude: float
     scale: float
     ping_nominal: np.ndarray
     ping_emit: np.ndarray
-    ping_arrive: np.ndarray
-    gap: np.ndarray
     respond_emit: np.ndarray
     respond_arrive: np.ndarray
     delta: np.ndarray
     noise_inner: np.ndarray
     noise_outer: np.ndarray
-    initiator: ClockParams
-    responder: ClockParams
     cfg: ScenarioConfig
     consts: ProtocolConstants
     noise: NoiseParams
@@ -274,8 +269,7 @@ def run_exchange(initiator: ClockParams, responder: ClockParams,
         scale = consts.a_scale / t_b_true
         delta = replay_dither(cfg, consts)
 
-    m = ping_decimation(cfg.t_m, consts)
-    t_m_eff = m / initiator.f_hz
+    t_m_eff = effective_ping_interval(initiator, cfg.t_m, consts)
     e0 = first_edge_at_or_after(initiator, cfg.t_start)
     idx = np.arange(n, dtype=float)
     ping_nominal = e0 + t_m_eff * idx
@@ -298,14 +292,13 @@ def run_exchange(initiator: ClockParams, responder: ClockParams,
     if n >= 2 and np.any(respond_arrive[:-1] >= ping_emit[1:]):
         raise ProtocolOverrunError("respond overruns the next ping slot")
 
-    epoch = MeasurementEpoch(t_prime=e0, t_vec=cfg.t_m * idx, y_vec=y)
+    epoch = MeasurementEpoch(t_prime=e0, t_m=cfg.t_m, y_vec=y)
     log = ArrivalLog(
-        kind=kind, t_prime=e0, t_m_eff=t_m_eff, amplitude=amplitude,
-        scale=scale, ping_nominal=ping_nominal, ping_emit=ping_emit,
-        ping_arrive=ping_arrive, gap=gap, respond_emit=respond_emit,
-        respond_arrive=respond_arrive, delta=delta, noise_inner=n_in,
-        noise_outer=w_out, initiator=initiator, responder=responder,
-        cfg=cfg, consts=consts, noise=noise,
+        t_prime=e0, t_m_eff=t_m_eff, amplitude=amplitude, scale=scale,
+        ping_nominal=ping_nominal, ping_emit=ping_emit,
+        respond_emit=respond_emit, respond_arrive=respond_arrive,
+        delta=delta, noise_inner=n_in, noise_outer=w_out, cfg=cfg,
+        consts=consts, noise=noise,
     )
     return epoch, log
 

@@ -26,7 +26,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -162,36 +162,41 @@ class SawtoothArgs:
 
 @dataclass
 class MeasurementEpoch:
-    """One epoch of round-trip measurements.
+    """One epoch of round-trip measurements on a uniform ping comb.
+
+    The initiator pings every ``t_m`` seconds, so measurement j sits at
+    ``t_m * j`` after the epoch timestamp; the comb is part of the type.
 
     t_prime  absolute epoch timestamp, s
-    t_vec    measurement times relative to t_prime, ascending, s
+    t_m      ping spacing, a positive finite scalar, s
     y_vec    measured values, non-negative, s
+    t_vec    derived: the measurement times ``t_m * arange(n)``, s
     """
 
     t_prime: float
-    t_vec: np.ndarray
+    t_m: float
     y_vec: np.ndarray
+    t_vec: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.t_vec = np.asarray(self.t_vec, dtype=float)
+        if np.ndim(self.t_m) != 0 or not (np.isfinite(self.t_m)
+                                          and self.t_m > 0.0):
+            raise ValueError("ping spacing t_m must be a positive finite "
+                             "scalar")
         self.y_vec = np.asarray(self.y_vec, dtype=float)
-        if self.t_vec.ndim != 1 or self.y_vec.ndim != 1:
-            raise ValueError("t_vec and y_vec must be one-dimensional")
-        if self.t_vec.shape != self.y_vec.shape:
-            raise ValueError("t_vec and y_vec must have equal length")
-        if self.t_vec.size == 0:
+        if self.y_vec.ndim != 1:
+            raise ValueError("y_vec must be one-dimensional")
+        if self.y_vec.size == 0:
             raise ValueError("epoch must contain at least one measurement")
-        if not (np.all(np.isfinite(self.t_vec)) and np.all(np.isfinite(self.y_vec))):
+        if not np.all(np.isfinite(self.y_vec)):
             raise ValueError("epoch values must be finite")
-        if np.any(np.diff(self.t_vec) < 0.0):
-            raise ValueError("t_vec must be non-decreasing")
         if np.any(self.y_vec < 0.0):
             raise ValueError("measured values must be non-negative")
+        self.t_vec = self.t_m * np.arange(self.y_vec.size, dtype=float)
 
     @property
     def n(self) -> int:
-        return int(self.t_vec.size)
+        return int(self.y_vec.size)
 
 
 # ======================================================================
@@ -262,4 +267,4 @@ def epoch_model(t_prime: float, n_pings: int, t_m: float,
     saw = sawtooth(t, args, delta_vec=delta_vec, amplitude=amplitude,
                    noise_vec=n_in)
     y = saw + consts.delta_0 + 2.0 * rho / consts.c + w_out
-    return MeasurementEpoch(t_prime, t, y)
+    return MeasurementEpoch(t_prime, t_m, y)

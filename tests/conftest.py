@@ -2,10 +2,14 @@
 
 Scenario seeds are pinned everywhere so that every statistical check is
 reproducible; tolerance choices are commented at the assertion sites.
+The property tests are pinned too: hypothesis derives its examples from
+each test's name instead of a fresh random draw, and keeps no example
+database between runs.
 """
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from climex import (
     ClockParams,
@@ -14,6 +18,9 @@ from climex import (
     ProtocolConstants,
     ScenarioConfig,
 )
+
+settings.register_profile("pinned", derandomize=True, database=None)
+settings.load_profile("pinned")
 
 F_NOMINAL = 1.0e8
 

@@ -8,6 +8,7 @@ acceptance suite.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from climex import budget
 from climex.cli import main
@@ -186,6 +187,70 @@ def test_estimate_rejects_malformed_epoch_csv(tmp_path, capsys):
         assert main(["estimate", "--in", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and where in err
+
+
+def test_estimate_refuses_aliased_epoch_csv(tmp_path, capsys):
+    # recorded at tm_s = 1 ms under a +-400 Hz grid, fitted under the
+    # default +-1 kHz grid: 500 Hz and -500 Hz are exact alias ties
+    narrow = tmp_path / "narrow.cfg"
+    narrow.write_text("tm_s = 1e-3\nn_pings = 1000\n"
+                      "grid_f_lo_hz = -400\ngrid_f_hi_hz = 400\n")
+    epoch_csv = tmp_path / "epoch.csv"
+    assert main(["simulate", "--config", str(narrow),
+                 "--out", str(epoch_csv)]) == 0
+    assert main(["estimate", "--in", str(epoch_csv)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "alias period" in err
+
+
+def test_estimate_refuses_epoch_csv_off_the_ping_comb(tmp_path, capsys):
+    cfgp = tmp_path / "short.cfg"
+    cfgp.write_text("n_pings = 200\n")
+    good = tmp_path / "epoch.csv"
+    assert main(["simulate", "--config", str(cfgp), "--out", str(good)]) == 0
+    assert main(["estimate", "--config", str(cfgp), "--in", str(good)]) == 0
+    lines = good.read_text().splitlines()
+    head = lines.index("index,t_rel_s,rtt_s")
+    # one time 1 ns late: 2e-5 of its value, far past the written digits
+    i, t, y = lines[head + 8].split(",")
+    shifted = tmp_path / "shifted.csv"
+    shifted.write_text("\n".join(
+        lines[:head + 8] + [f"{i},{float(t) + 1e-9:.12e},{y}"]
+        + lines[head + 9:]) + "\n")
+    one_row = tmp_path / "one_row.csv"
+    one_row.write_text("\n".join(lines[:head + 2]) + "\n")
+    capsys.readouterr()
+    for bad in (shifted, one_row):
+        assert main(["estimate", "--config", str(cfgp),
+                     "--in", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(bad) in err
+
+
+@settings(max_examples=25, deadline=None)
+@given(tm_s=st.floats(-6.0, -3.4).map(lambda x: 10.0 ** x),
+       n_pings=st.integers(2, 2000))
+# 1 / 30000 s has more significant digits than the file keeps
+@example(tm_s=1.0 / 30000.0, n_pings=2000)
+def test_simulate_estimate_roundtrip_over_ping_spacings(tmp_path_factory,
+                                                        tm_s, n_pings):
+    # any ping spacing (1 us to 0.4 ms) inside the default grid's alias
+    # limit: the written times pass the comb check and the fit picks
+    # the same beat as the in-memory epoch
+    work = tmp_path_factory.mktemp("comb")
+    cfgp = work / "run.cfg"
+    cfgp.write_text(f"tm_s = {tm_s!r}\nn_pings = {n_pings}\n")
+    epoch_csv = work / "epoch.csv"
+    direct, via_file = work / "direct.txt", work / "file.txt"
+    assert main(["simulate", "--config", str(cfgp),
+                 "--out", str(epoch_csv)]) == 0
+    assert main(["estimate", "--config", str(cfgp),
+                 "--out", str(direct)]) == 0
+    assert main(["estimate", "--config", str(cfgp), "--in", str(epoch_csv),
+                 "--out", str(via_file)]) == 0
+    d, f = _kv(direct), _kv(via_file)
+    assert f["f_d_hat_hz"] == d["f_d_hat_hz"]
+    assert f["at_grid_edge"] == d["at_grid_edge"]
 
 
 def test_sweep_single_value_row(tmp_path):

@@ -23,7 +23,6 @@ from climex import (
     MeasurementEpoch,
     complete_estimate,
     cost_J,
-    counterpart_frequency,
     epoch_model,
     fold,
     grid_search,
@@ -60,11 +59,10 @@ def test_cost_ignores_constant_offsets():
 
 def test_model_fold_values_hand_case():
     t = np.array([0.0, 1.0e-3, 2.0e-3])
-    m = model_fold_values(t, 100.0, 0.0, 10.0e-9, 10.0e-9)
+    m = model_fold_values(t, 100.0, 0.0, 10.0e-9)
     assert np.allclose(m, [0.0, 1.0e-9, 2.0e-9], atol=1e-22)
-    # dither enters in ramp units of the model period
-    md = model_fold_values(t, 100.0, 0.0, 10.0e-9, 10.0e-9,
-                           delta_vec=np.full(3, 2.5e-9))
+    # dither enters in cycles of the ramp
+    md = model_fold_values(t, 100.0, 0.0, 10.0e-9, np.full(3, 0.25))
     assert np.allclose(md, [2.5e-9, 3.5e-9, 4.5e-9], atol=1e-22)
 
 
@@ -187,7 +185,7 @@ def test_cost_at_truth_matches_noise_power(consts):
     args = SawtoothArgs(f_d=313.7, t_b=1.0000019e-8, phi=2.2)
     ep = epoch_model(0.0, 10000, 1.0e-4, args, 3.0, consts, noise=noise,
                      rng=np.random.default_rng(3))
-    m = model_fold_values(ep.t_vec, args.f_d, args.phi, args.t_b, args.t_b)
+    m = model_fold_values(ep.t_vec, args.f_d, args.phi, args.t_b)
     expect = ep.n * (noise.sigma_inner ** 2 + noise.sigma_outer ** 2)
     assert cost_J(ep.y_vec, m) == pytest.approx(expect, rel=0.10)
 
@@ -201,7 +199,7 @@ def test_cost_wrap_inflation(consts):
     args = SawtoothArgs(f_d=500.0, t_b=1.0000019e-8, phi=2.2)
     ep = epoch_model(0.0, 10000, 1.0e-4, args, 3.0, consts, noise=noise,
                      rng=np.random.default_rng(3))
-    m = model_fold_values(ep.t_vec, args.f_d, args.phi, args.t_b, args.t_b)
+    m = model_fold_values(ep.t_vec, args.f_d, args.phi, args.t_b)
     r = ep.y_vec - m
     n_wrap = int(np.sum(np.abs(r - np.median(r)) > 0.5 * args.t_b))
     assert n_wrap > 50
@@ -215,9 +213,9 @@ def test_cost_grows_away_from_truth(consts):
     ep = epoch_model(0.0, 10000, 1.0e-4, args, 3.0, consts, noise=noise,
                      rng=np.random.default_rng(3))
     j_true = cost_J(ep.y_vec, model_fold_values(
-        ep.t_vec, args.f_d, args.phi, args.t_b, args.t_b))
+        ep.t_vec, args.f_d, args.phi, args.t_b))
     j_off = cost_J(ep.y_vec, model_fold_values(
-        ep.t_vec, args.f_d + 5.0, args.phi, args.t_b, args.t_b))
+        ep.t_vec, args.f_d + 5.0, args.phi, args.t_b))
     assert j_off > 100.0 * j_true
 
 
@@ -248,7 +246,7 @@ def test_zero_noise_confounded_sum_is_exact(consts):
     a = 1.0e-8
     args = SawtoothArgs(f_d=100.0, t_b=a, phi=phi_exact)
     ep = epoch_model(0.5, 10000, 1.0e-4, args, 3.0, consts)
-    est = grid_search(ep, consts, amplitude=a, t_b_model=a)
+    est = grid_search(ep, consts, amplitude=a)
     assert est.f_d_hat == pytest.approx(100.0, abs=1e-9)
     s_hat = fold(a * est.phi_hat / (2 * np.pi) + 2 * est.rho_hat / consts.c, a)
     s_true = fold(a * phi_exact / (2 * np.pi) + 2 * 3.0 / consts.c, a)
@@ -330,7 +328,7 @@ def test_sample_mask_excludes_corruption(clock_pair, scenario, consts,
                           consts, zero_noise)
     y = ep.y_vec.copy()
     y[500:600] += 4.0e-9
-    ep_bad = MeasurementEpoch(ep.t_prime, ep.t_vec, y)
+    ep_bad = MeasurementEpoch(ep.t_prime, ep.t_m, y)
     mask = np.ones(ep.n, dtype=bool)
     mask[500:600] = False
     est = grid_search(ep_bad, consts, amplitude=1.0 / consts.f_nominal,
@@ -357,56 +355,9 @@ def test_grid_search_refuses_aliased_grid(clock_pair, scenario, consts,
     assert abs(est.f_d_hat - 500.0) < 0.05
 
 
-def test_masked_fit_equals_fit_on_kept_samples(clock_pair, scenario, consts,
-                                               desk_noise):
-    # the mask keeps the uniform grid (transform, zero weights); the kept
-    # samples alone form a non-uniform grid (loop): same fit, exactly
-    ini, res = clock_pair(313.7)
-    for kind, seed in (("none", 21), ("uniform", 22)):
-        cfg = scenario(n_pings=10000, seed=seed, dither=kind)
-        ep, log = run_climex_epoch(ini, res, cfg, consts, desk_noise)
-        keep = np.random.default_rng(seed).random(ep.n) > 0.05
-        masked = grid_search(ep, consts, amplitude=consts.a_scale,
-                             delta_vec=log.delta, sample_mask=keep)
-        sub = MeasurementEpoch(ep.t_prime, ep.t_vec[keep], ep.y_vec[keep])
-        kept = grid_search(sub, consts, amplitude=consts.a_scale,
-                           delta_vec=log.delta[keep])
-        assert masked == kept
-
-
-@pytest.mark.parametrize("f_d, noise, grid, edge", [
-    (313.7, "desk_noise", None, False),
-    (47.3, "desk_noise", None, False),
-    (500.3, "zero_noise", SearchGrid(f_lo=-50.0, f_hi=50.0), True),
-])
-def test_one_ulp_off_grid_takes_loop_with_same_pick(request, clock_pair,
-                                                    scenario, consts, f_d,
-                                                    noise, grid, edge):
-    ini, res = clock_pair(f_d)
-    ep, _ = run_rtt_epoch(ini, res, scenario(n_pings=10000, seed=31),
-                          consts, request.getfixturevalue(noise))
-    t = ep.t_vec.copy()
-    t[-1] = np.nextafter(t[-1], np.inf)
-    amp = 1.0 / consts.f_nominal
-    exact = grid_search(ep, consts, amplitude=amp, grid=grid)
-    nudged = grid_search(MeasurementEpoch(ep.t_prime, t, ep.y_vec), consts,
-                         amplitude=amp, grid=grid)
-    assert nudged.f_d_hat == exact.f_d_hat
-    assert nudged.at_grid_edge == exact.at_grid_edge == edge
-
-
 # ----------------------------------------------------------------------
 # derived quantities
 # ----------------------------------------------------------------------
-
-
-def test_counterpart_frequency_conventions():
-    assert counterpart_frequency(1.0e8 + 313.0, 500.0, "initiator") == \
-        pytest.approx(1.0e8 - 187.0, abs=1e-6)
-    assert counterpart_frequency(1.0e8 - 187.0, 500.0, "responder") == \
-        pytest.approx(1.0e8 + 313.0, abs=1e-6)
-    with pytest.raises(ValueError):
-        counterpart_frequency(1.0e8, 500.0, "listener")
 
 
 def test_predict_phi_test_rejects_degenerate_fits(consts):

@@ -174,16 +174,20 @@ def test_epoch_models_validate_inputs(consts):
 
 
 def test_measurement_epoch_validation():
+    ep = MeasurementEpoch(0.0, 1.0e-4, np.array([1.0, 2.0, 3.0]))
+    assert np.array_equal(ep.t_vec, 1.0e-4 * np.arange(3.0))
+    # the ping spacing is one positive, finite scalar
+    for bad_t_m in (0.0, -1.0e-4, np.nan, np.inf, np.array([1.0e-4, 2.0e-4])):
+        with pytest.raises(ValueError):
+            MeasurementEpoch(0.0, bad_t_m, np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
-        MeasurementEpoch(0.0, np.arange(3.0), np.array([1.0, -2.0, 3.0]))
+        MeasurementEpoch(0.0, 1.0e-4, np.array([1.0, -2.0, 3.0]))
     with pytest.raises(ValueError):
-        MeasurementEpoch(0.0, np.arange(3.0), np.arange(4.0))
+        MeasurementEpoch(0.0, 1.0e-4, np.array([]))
     with pytest.raises(ValueError):
-        MeasurementEpoch(0.0, np.array([]), np.array([]))
+        MeasurementEpoch(0.0, 1.0e-4, np.array([1.0, np.nan]))
     with pytest.raises(ValueError):
-        MeasurementEpoch(0.0, np.array([1.0, 0.5]), np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        MeasurementEpoch(0.0, np.array([0.0, np.nan]), np.array([1.0, 1.0]))
+        MeasurementEpoch(0.0, 1.0e-4, np.ones((2, 2)))
 
 
 def test_parameter_validation():
