@@ -107,8 +107,8 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _read_epoch_csv(path: str) -> MeasurementEpoch:
-    t_prime = None
+def _read_epoch_csv(path: str, setup: RunSetup) -> MeasurementEpoch:
+    headers: dict[str, tuple[int, str]] = {}
     t_rows: list[float] = []
     y_rows: list[float] = []
     try:
@@ -121,13 +121,8 @@ def _read_epoch_csv(path: str) -> MeasurementEpoch:
         if not line:
             continue
         if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if body.startswith("t_prime_s"):
-                try:
-                    t_prime = float(body.partition("=")[2])
-                except ValueError:
-                    raise ConfigError(f"{path} line {lineno}: bad "
-                                      f"t_prime_s value") from None
+            key, _, value = line.lstrip("#").partition("=")
+            headers[key.strip()] = (lineno, value.strip())
             continue
         if line.startswith("index,"):
             continue
@@ -139,8 +134,24 @@ def _read_epoch_csv(path: str) -> MeasurementEpoch:
             y_rows.append(float(parts[2]))
         except ValueError:
             raise ConfigError(f"{path} line {lineno}: bad number") from None
-    if t_prime is None:
+    if "t_prime_s" not in headers:
         raise ConfigError(f"{path}: missing '# t_prime_s = ...' header")
+    lineno, value = headers["t_prime_s"]
+    try:
+        t_prime = float(value)
+    except ValueError:
+        raise ConfigError(f"{path} line {lineno}: bad t_prime_s "
+                          f"value") from None
+    # the fit models the file with the config's protocol, and a climex
+    # fit replays the dither from the config's seed: a file written
+    # under others would be fitted against the wrong model
+    checked = {"protocol": setup.protocol}
+    if setup.protocol == "climex":
+        checked["seed"] = str(setup.scenario.seed)
+    for key, want in checked.items():
+        if key in headers and headers[key][1] != want:
+            raise ConfigError(f"{path}: epoch written with {key} = "
+                              f"{headers[key][1]}, config has {key} = {want}")
     if len(t_rows) < 2:
         raise ConfigError(f"{path}: need at least two measurement rows")
     # the pings form a comb t_m * j: row j = 1 gives t_m, and every row
@@ -158,7 +169,7 @@ def _read_epoch_csv(path: str) -> MeasurementEpoch:
 def cmd_estimate(args) -> int:
     setup = _setup_from_args(args)
     if args.infile is not None:
-        epoch = _read_epoch_csv(args.infile)
+        epoch = _read_epoch_csv(args.infile, setup)
     else:
         epoch, _ = _run_epoch(setup)
     ce = complete_estimate(

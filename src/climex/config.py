@@ -11,6 +11,7 @@ are Hz; the unit is part of the key name.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .estimators import SearchGrid
@@ -123,6 +124,9 @@ def parse_config_text(text: str) -> dict:
             except ValueError:
                 raise ConfigError(f"line {lineno}: {key} must be a number, "
                                   f"got {value!r}") from None
+            if not math.isfinite(out[key]):
+                raise ConfigError(f"line {lineno}: {key} must be finite, "
+                                  f"got {value!r}")
     return out
 
 

@@ -31,6 +31,15 @@ with period 1 / t_m, so a coarse ladder spanning a full period holds
 exact alias ties and is refused.  The short refine ladder around the
 coarse pick steps a running phasor instead.
 
+The Bluestein chirp, the kernel's spectrum and the refine step phasor
+depend only on the comb and the grid, (t_m, N, df, K, df / refine), not
+on the samples.  A fit takes them from a small memo, the ladder plan,
+which keeps the two most recently used keys (enough for the 10^4-ping
+estimate comb and the 200-ping detection comb); a masked refit indexes
+the refine phasor with its mask.  The arrays are built by the same
+expressions either way, so a fit is bit for bit the same from a fresh
+or a reused plan.
+
 Phase stage.  At the selected frequency the phase is read from the
 least-squares profile J(phi) = sum((z - mean(z))**2), z = y - model.
 Mean removal profiles out the floor exactly, so rho never enters the
@@ -49,7 +58,9 @@ round-off) to building each model explicitly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,6 +108,9 @@ class SearchGrid:
     refine: int = 10
 
     def __post_init__(self):
+        # they key the ladder plan, where a NaN would never match
+        if not all(np.isfinite((self.f_lo, self.f_hi, self.df))):
+            raise ValueError("f_lo, f_hi and df must be finite")
         if not self.f_hi > self.f_lo:
             raise ValueError("need f_hi > f_lo")
         if self.df <= 0.0:
@@ -250,7 +264,7 @@ def _circular_level(t, y, dphase, a, f):
     return xi, float(sigma)
 
 
-def _resultant_mags(t, y, dphase, a, f_start, f_step, count):
+def _resultant_mags(t, y, dphase, a, f_start, f_step, count, step=None):
     """|R(f)| on the uniform frequency ladder f_start + f_step * k, for
     any set of sample times.
 
@@ -259,16 +273,47 @@ def _resultant_mags(t, y, dphase, a, f_start, f_step, count):
     over a few thousand steps is ~1e-13 relative, far below the noise
     contrast the magnitudes are compared at.  Costs N per step, so it
     serves only the short refine window; the tests also use it as the
-    oracle of :func:`_chirp_z_mags`.
+    oracle of :func:`_chirp_z_mags`.  ``step``, when given, is that
+    phasor already built on ``t``.
     """
     base = _TWO_PI * (y / a - dphase - f_start * t)
     cur = np.exp(1j * base)
-    step = np.exp(-1j * _TWO_PI * f_step * t)
+    if step is None:
+        step = np.exp(-1j * _TWO_PI * f_step * t)
     mags = np.empty(count)
     for k in range(count):
         mags[k] = abs(cur.sum())
         cur *= step
     return mags
+
+
+def _bluestein(c, n, count):
+    """The comb-only arrays of the chirp-z ladder W = exp(-2 pi i c) over
+    n samples and count frequencies: the conjugate chirp W^(j^2/2) on the
+    samples, and the FFT of the kernel W^(-m^2/2), zero-padded to a power
+    of two L >= n + count - 1 so the circular convolution does not wrap.
+    """
+    m2 = np.arange(max(n, count), dtype=float) ** 2
+    c_hi = float(np.float32(c))
+    chirp = np.exp(1j * np.pi * (np.fmod(c_hi * m2, 2.0) + (c - c_hi) * m2))
+    size = 1 << (n + count - 2).bit_length()
+    kern = np.zeros(size, dtype=complex)
+    kern[:count] = chirp[:count]
+    kern[size - n + 1:] = chirp[n - 1:0:-1]
+    return chirp[:n].conj(), np.fft.fft(kern, out=kern)
+
+
+def _bluestein_mags(t, y, dphase, a, f_start, count, weight, chirp,
+                    kernel_hat):
+    """|R_k| from the sample phasors and the arrays of :func:`_bluestein`."""
+    n = t.size
+    x = np.zeros(kernel_hat.size, dtype=complex)
+    x[:n] = np.exp(1j * _TWO_PI * (y / a - dphase - f_start * t)) * chirp
+    if weight is not None:
+        x[:n] *= weight
+    x = np.fft.fft(x, out=x)                   # in place: one buffer only
+    x *= kernel_hat
+    return np.abs(np.fft.ifft(x, out=x)[:count])
 
 
 def _chirp_z_mags(t, y, dphase, a, f_start, f_step, count, weight=None):
@@ -282,27 +327,45 @@ def _chirp_z_mags(t, y, dphase, a, f_start, f_step, count, weight=None):
     leading W^(k^2/2) has unit modulus and is dropped.
 
     The chirp angle pi c m^2, c = f_step tau, reaches pi c N^2, far past
-    the accumulated angles of the loop.  Splitting c into a 24-bit head,
-    whose product with m^2 < 2^29 is exact and is reduced mod 2 exactly,
-    plus a tail keeps the angle as precise as the loop's.
+    the accumulated angles of the loop.  Splitting c into a 24-bit head
+    plus a tail keeps the angle as precise as the loop's: the head's
+    product with m^2 is exact while m^2 < 2^29 and is then reduced mod 2
+    exactly.  Past that (m > 23170) the product rounds: at N = 10^5 and
+    tau = 10^-4 s the transform meets the loop to about 1e-11 N (at
+    most 1.3e-11 of the peak on locked epochs, three seeds).
+
+    The chirp and the kernel spectrum depend only on (c, N, count), so
+    :func:`grid_search` takes them from :func:`_ladder_plan` instead of
+    building them here; this entry point builds them on every call and
+    serves the tests.
     """
-    n = t.size
-    m2 = np.arange(max(n, count), dtype=float) ** 2
-    c = f_step * t[1]
-    c_hi = float(np.float32(c))
-    chirp = np.exp(1j * np.pi * (np.fmod(c_hi * m2, 2.0) + (c - c_hi) * m2))
-    size = 1 << (n + count - 2).bit_length()   # >= n + count - 1: no wrap
-    kern = np.zeros(size, dtype=complex)
-    kern[:count] = chirp[:count]
-    kern[size - n + 1:] = chirp[n - 1:0:-1]
-    x = np.zeros(size, dtype=complex)
-    x[:n] = (np.exp(1j * _TWO_PI * (y / a - dphase - f_start * t))
-             * chirp[:n].conj())
-    if weight is not None:
-        x[:n] *= weight
-    x = np.fft.fft(x, out=x)                   # in place: two buffers only
-    x *= np.fft.fft(kern, out=kern)
-    return np.abs(np.fft.ifft(x, out=x)[:count])
+    return _bluestein_mags(t, y, dphase, a, f_start, count, weight,
+                           *_bluestein(f_step * t[1], t.size, count))
+
+
+class _LadderPlan(NamedTuple):
+    chirp: np.ndarray          # conjugate Bluestein chirp on the n pings
+    kernel_hat: np.ndarray     # FFT of the Bluestein kernel, length L
+    refine_step: np.ndarray    # exp(-2 pi i (df / refine) t) on the comb
+
+
+@functools.lru_cache(maxsize=2)
+def _ladder_plan(t_m, n, df, n_coarse, refine_step) -> _LadderPlan:
+    """The arrays of a fit that depend only on the ping comb and the
+    grid, built once per (t_m, n, df, n_coarse, refine_step).
+
+    Two entries hold the two combs one process fits (10^4 pings for
+    estimates and sweeps, 200 for detection); a comb whose t_m is itself
+    an estimate (the listener's slope) misses and pays today's cost.
+    The arrays are shared by every caller, so they are read-only.
+    """
+    chirp, kernel_hat = _bluestein(df * t_m, n, n_coarse)
+    t = t_m * np.arange(n, dtype=float)
+    plan = _LadderPlan(chirp, kernel_hat,
+                       np.exp(-1j * _TWO_PI * refine_step * t))
+    for arr in plan:
+        arr.flags.writeable = False
+    return plan
 
 
 def _best_phi_index(t, y, dphase, a, f, n_phi):
@@ -356,9 +419,13 @@ def grid_search(epoch: MeasurementEpoch, consts: ProtocolConstants, *,
         raise ValueError(
             f"coarse ladder spans {(n_coarse - 1) * grid.df:g} Hz, not "
             f"below the alias period 1 / t_m = {1.0 / epoch.t_m:g} Hz")
-    mags = _chirp_z_mags(t, y, dphase, a, grid.f_lo, grid.df, n_coarse, keep)
+    step = grid.df / grid.refine
+    plan = _ladder_plan(epoch.t_m, t.size, grid.df, n_coarse, step)
+    mags = _bluestein_mags(t, y, dphase, a, grid.f_lo, n_coarse, keep,
+                           plan.chirp, plan.kernel_hat)
+    step_phasor = plan.refine_step
     if keep is not None:
-        t, y = t[keep], y[keep]
+        t, y, step_phasor = t[keep], y[keep], step_phasor[keep]
         if delta_vec is not None:
             dphase = dphase[keep]
     i_c = int(np.argmax(mags))          # first occurrence: smallest f wins ties
@@ -367,11 +434,10 @@ def grid_search(epoch: MeasurementEpoch, consts: ProtocolConstants, *,
 
     # +-df around the coarse pick; interior picks have grid points as
     # neighbours so only boundary picks need one-sided windows.
-    step = grid.df / grid.refine
     k_lo = -grid.refine if i_c > 0 else 0
     k_hi = grid.refine if i_c < n_coarse - 1 else 0
     mags_f = _resultant_mags(t, y, dphase, a, f_c + step * k_lo, step,
-                             k_hi - k_lo + 1)
+                             k_hi - k_lo + 1, step_phasor)
     f_hat = f_c + step * (k_lo + int(np.argmax(mags_f)))
 
     # Phase/floor readout.  The least-squares phase profile seeds the

@@ -46,6 +46,11 @@ sigma_j_s = 2e-9   # trailing comment
     ("protocol = quic", "must be one of"),
     ("n_pings = 2.5", "must be an integer"),
     ("sigma_j_s = abc", "must be a number"),
+    ("tm_s = nan", "line 1: tm_s must be finite"),
+    ("grid_df_hz = inf", "line 1: grid_df_hz must be finite"),
+    ("n_pings = 5\ngrid_f_lo_hz = -Infinity", "line 2: grid_f_lo_hz must "
+     "be finite"),
+    ("sigma_j_s = NaN", "must be finite"),
 ])
 def test_parse_rejections(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -189,6 +194,43 @@ def test_estimate_rejects_malformed_epoch_csv(tmp_path, capsys):
         assert err.startswith("config error:") and where in err
 
 
+def test_estimate_refuses_epoch_csv_from_another_model(tmp_path, capsys):
+    # the fit takes its model from the config, so a file written under
+    # another protocol, or a climex file under another dither seed, was
+    # fitted wrongly: -591.1 and -668.0 Hz for a +500 Hz beat, or a
+    # zero-beat error
+    climex = tmp_path / "climex.cfg"
+    climex.write_text("protocol = climex\n")
+    rtt_csv, climex_csv = tmp_path / "rtt.csv", tmp_path / "climex.csv"
+    assert main(["simulate", "--out", str(rtt_csv)]) == 0
+    assert main(["simulate", "--config", str(climex), "--out",
+                 str(climex_csv)]) == 0
+    for argv, fragments in (
+            (["--in", str(climex_csv)], ("protocol = climex",
+                                         "protocol = rtt")),
+            (["--config", str(climex), "--in", str(rtt_csv)],
+             ("protocol = rtt", "protocol = climex")),
+            (["--config", str(climex), "--seed", "7", "--in",
+              str(climex_csv)], ("seed = 12345", "seed = 7"))):
+        capsys.readouterr()
+        assert main(["estimate"] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and argv[-1] in err
+        assert all(f in err for f in fragments)
+    # matching headers, and files without them, are fitted as before
+    out = tmp_path / "est.txt"
+    assert main(["estimate", "--config", str(climex), "--in",
+                 str(climex_csv), "--out", str(out)]) == 0
+    assert float(_kv(out)["f_d_hat_hz"]) == 500.0
+    bare = tmp_path / "bare.csv"
+    bare.write_text("\n".join(ln for ln in _lines(climex_csv)
+                              if not ln.startswith(("# protocol", "# seed")))
+                    + "\n")
+    assert main(["estimate", "--config", str(climex), "--seed", "7",
+                 "--in", str(bare)]) == 0
+    assert main(["estimate", "--in", str(bare)]) == 1
+
+
 def test_estimate_refuses_aliased_epoch_csv(tmp_path, capsys):
     # recorded at tm_s = 1 ms under a +-400 Hz grid, fitted under the
     # default +-1 kHz grid: 500 Hz and -500 Hz are exact alias ties
@@ -322,6 +364,16 @@ def test_config_errors_exit_2(tmp_path, capsys):
     zero.write_text("attack = random\nattack_n = 0\n")
     assert main(["detect", "--config", str(zero)]) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+def test_non_finite_config_value_exits_2(tmp_path, capsys):
+    # refused at parse time; a NaN ping spacing used to reach the
+    # simulator and fail there with exit 1
+    nan = tmp_path / "nan.cfg"
+    nan.write_text("tm_s = nan\n")
+    assert main(["simulate", "--config", str(nan)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "must be finite" in err
 
 
 def test_runtime_errors_exit_1(tmp_path, capsys):

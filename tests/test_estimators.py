@@ -8,6 +8,8 @@ pins come from fixed-seed runs; tolerances leave room above the
 observed values but stay well inside the documented targets.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.signal
@@ -34,7 +36,13 @@ from climex import (
     run_climex_epoch,
     run_rtt_epoch,
 )
-from climex.estimators import _chirp_z_mags, _phase_costs, _resultant_mags
+from climex import estimators
+from climex.estimators import (
+    _chirp_z_mags,
+    _ladder_plan,
+    _phase_costs,
+    _resultant_mags,
+)
 
 
 # ----------------------------------------------------------------------
@@ -89,6 +97,10 @@ def test_search_grid_validation():
         SearchGrid(n_phi=0)
     with pytest.raises(ValueError):
         SearchGrid(refine=0)
+    for bad in (dict(f_lo=float("nan")), dict(f_hi=float("inf")),
+                dict(df=float("inf")), dict(df=float("nan"))):
+        with pytest.raises(ValueError, match="finite"):
+            SearchGrid(**bad)
 
 
 def test_freq_values_stop_at_f_hi():
@@ -171,6 +183,91 @@ def test_chirp_z_ladder_matches_scipy_czt(n, tau, f_lo, df, count, masked):
     got = _chirp_z_mags(t, y, dphase, a, f_lo, df, count,
                         keep if masked else None)
     assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(ref)
+
+
+# ----------------------------------------------------------------------
+# ladder plan: the comb-only arrays, built once and shared
+# ----------------------------------------------------------------------
+
+
+def _cold_and_warm(monkeypatch, epoch, consts, **kw):
+    # the warm fit must find its plan in the memo and build no chirp,
+    # kernel spectrum or refine step of its own
+    _ladder_plan.cache_clear()
+    cold = grid_search(epoch, consts, **kw)
+    before = _ladder_plan.cache_info()
+
+    def no_bluestein(*args):
+        raise AssertionError("warm fit built a chirp")
+
+    def refine_with_plan_step(*args):
+        assert len(args) == 8 and args[7] is not None, \
+            "warm fit built a refine step"
+        return _resultant_mags(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(estimators, "_bluestein", no_bluestein)
+        m.setattr(estimators, "_resultant_mags", refine_with_plan_step)
+        warm = grid_search(epoch, consts, **kw)
+    after = _ladder_plan.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    return cold, warm
+
+
+def test_ladder_plan_fit_is_identical_cold_and_warm(monkeypatch, clock_pair,
+                                                    scenario, consts,
+                                                    desk_noise):
+    ini, res = clock_pair(500.3)
+    plain, _ = run_rtt_epoch(ini, res, scenario(n_pings=4000, seed=21),
+                             consts, desk_noise)
+    dithered, log = run_climex_epoch(
+        ini, res, scenario(n_pings=4000, seed=22, dither="uniform"),
+        consts, desk_noise)
+    mask = np.ones(plain.n, dtype=bool)
+    mask[::7] = False
+    mask[1000:1300] = False
+    rtt, scaled = 1.0 / consts.f_nominal, consts.a_scale
+    for ep, kw in ((plain, dict(amplitude=rtt)),
+                   (dithered, dict(amplitude=scaled, delta_vec=log.delta)),
+                   (plain, dict(amplitude=rtt, sample_mask=mask)),
+                   (dithered, dict(amplitude=scaled, delta_vec=log.delta,
+                                   sample_mask=mask))):
+        cold, warm = _cold_and_warm(monkeypatch, ep, consts, **kw)
+        for field in dataclasses.fields(cold):
+            assert getattr(warm, field.name) == getattr(cold, field.name)
+
+
+def test_each_comb_gets_its_own_plan(clock_pair, scenario, consts,
+                                     desk_noise):
+    # another ping spacing, then another ping count, fitted while the
+    # first comb's plan is in the memo, gives the cold fit's answer
+    ini, res = clock_pair(313.7)
+    amp = 1.0 / consts.f_nominal
+    first, _ = run_rtt_epoch(ini, res, scenario(n_pings=3000, seed=31),
+                             consts, desk_noise)
+    for other in (scenario(n_pings=3000, seed=32, t_m=0.8e-4),
+                  scenario(n_pings=2500, seed=33)):
+        ep, _ = run_rtt_epoch(ini, res, other, consts, desk_noise)
+        _ladder_plan.cache_clear()
+        cold = grid_search(ep, consts, amplitude=amp)
+        _ladder_plan.cache_clear()
+        grid_search(first, consts, amplitude=amp)
+        beside = grid_search(ep, consts, amplitude=amp)
+        info = _ladder_plan.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+        assert beside == cold
+        assert abs(beside.f_d_hat - 313.7) < 0.5
+
+
+def test_ladder_plan_is_read_only_and_holds_two_combs():
+    assert _ladder_plan.cache_info().maxsize == 2
+    plan = _ladder_plan(1.0e-4, 300, 1.0, 2001, 0.1)
+    assert len(plan) == 3
+    for arr in plan:
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+        with pytest.raises(ValueError):
+            arr *= 2.0
 
 
 # ----------------------------------------------------------------------
