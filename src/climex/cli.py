@@ -40,6 +40,7 @@ __all__ = ["main"]
 
 # every number is written with 13 significant digits
 _DIGITS = 13
+_FLOAT = f"%.{_DIGITS - 1}e"
 
 # A written time is off by at most half a unit in its 13th digit, 5e-13
 # of its value; checking row j against j times row 1 meets two such
@@ -47,18 +48,39 @@ _DIGITS = 13
 # rounding.
 _COMB_RTOL = 2.0 * 10.0 ** (1 - _DIGITS)
 
+# epoch rows are parsed this many at a time, so the cell strings of
+# only one chunk are alive at once
+_PARSE_CHUNK = 512
+
+_ASCII_DIGITS = frozenset("0123456789")
+
 
 def _fmt(x) -> str:
-    return format(float(x), f".{_DIGITS - 1}e")
+    return _FLOAT % float(x)
 
 
-def _write_lines(lines, out_path) -> None:
-    text = "\n".join(lines) + "\n"
+def _write_text(text, out_path) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _write_lines(lines, out_path) -> None:
+    _write_text("\n".join(lines) + "\n", out_path)
+
+
+def _write_table(header_lines, row_format, columns, out_path) -> None:
+    """The header lines, then one ``row_format`` line per row of
+    ``columns`` (equal-length sequences of Python numbers), built by one
+    ``%`` format over the interleaved cells."""
+    width, n = len(columns), len(columns[0])
+    cells = [None] * (width * n)
+    for j, column in enumerate(columns):
+        cells[j::width] = column
+    _write_text("\n".join(header_lines) + "\n"
+                + (row_format + "\n") * n % tuple(cells), out_path)
 
 
 def _setup_from_args(args) -> RunSetup:
@@ -95,45 +117,106 @@ def _known_dither(setup: RunSetup):
 def cmd_simulate(args) -> int:
     setup = _setup_from_args(args)
     epoch, _ = _run_epoch(setup)
-    lines = [
+    header = [
         f"# protocol = {setup.protocol}",
         f"# seed = {setup.scenario.seed}",
         f"# t_prime_s = {_fmt(epoch.t_prime)}",
         "index,t_rel_s,rtt_s",
     ]
-    lines.extend(f"{i},{_fmt(epoch.t_vec[i])},{_fmt(epoch.y_vec[i])}"
-                 for i in range(epoch.n))
-    _write_lines(lines, args.out)
+    _write_table(header, f"%d,{_FLOAT},{_FLOAT}",
+                 [range(epoch.n), epoch.t_vec.tolist(), epoch.y_vec.tolist()],
+                 args.out)
     return 0
 
 
-def _read_epoch_csv(path: str, setup: RunSetup) -> MeasurementEpoch:
+def _split_epoch_lines(lines: list[str]):
+    """The ``#`` headers of an epoch file (key -> (line number, value)),
+    its measurement rows in order, and the numbers of the lines that are
+    not rows: headers, blank lines and ``index,`` lines.
+
+    A line that starts with an ASCII digit is a row as it stands:
+    stripping it could only trim its last cell, which the number parse
+    trims anyway.  Only the other lines are stripped and classified.
+    """
     headers: dict[str, tuple[int, str]] = {}
-    t_rows: list[float] = []
-    y_rows: list[float] = []
+    body: list[str] = []
+    dropped: list[int] = []
+    for lineno, raw in enumerate(lines, start=1):
+        if raw[:1] in _ASCII_DIGITS:
+            body.append(raw)
+            continue
+        line = raw.strip()
+        if line.startswith("#"):
+            key, _, value = line.lstrip("#").partition("=")
+            headers[key.strip()] = (lineno, value.strip())
+        elif line and not line.startswith("index,"):
+            body.append(line)
+            continue
+        dropped.append(lineno)
+    return headers, body, dropped
+
+
+def _parse_rows(path: str, body: list[str], dropped: list[int]):
+    """The time and value columns of the rows, as float64 arrays.
+
+    Each chunk of k rows is joined with ",\n" and split on commas.  The
+    rows all have three cells exactly when that gives 3 k cells and the
+    k - 1 newlines all fall in cells 3, 6, 9, ...; the time and value
+    cells are then every third cell from 1 and from 2, and numpy parses
+    each column in one call, taking ``float`` of every cell.  If a chunk
+    fails, its rows are checked one by one and the error names the line
+    of the first bad row.
+    """
+    n = len(body)
+    t_col, y_col = np.empty(n), np.empty(n)
+    for start in range(0, n, _PARSE_CHUNK):
+        chunk = body[start:start + _PARSE_CHUNK]
+        cells = ",\n".join(chunk).split(",")
+        try:
+            if (len(cells) != 3 * len(chunk)
+                    or "".join(cells[3::3]).count("\n") != len(chunk) - 1):
+                raise ValueError
+            t_col[start:start + len(chunk)] = np.array(cells[1::3],
+                                                       dtype=float)
+            y_col[start:start + len(chunk)] = np.array(cells[2::3],
+                                                       dtype=float)
+        except ValueError:
+            _raise_bad_row(path, chunk, start, dropped)
+    return t_col, y_col
+
+
+def _raise_bad_row(path: str, chunk: list[str], start: int,
+                   dropped: list[int]):
+    for k, line in enumerate(chunk, start=start):
+        parts = line.split(",")
+        if len(parts) != 3:
+            problem = "expected 3 columns"
+        else:
+            try:
+                float(parts[1])
+                float(parts[2])
+                continue
+            except ValueError:
+                problem = "bad number"
+        # row k sits after every dropped line that comes before it
+        lineno = k + 1
+        for skipped in dropped:
+            if skipped > lineno:
+                break
+            lineno += 1
+        raise ConfigError(f"{path} line {lineno}: {problem}")
+    raise AssertionError("bulk row parse failed on rows that parse")
+
+
+def _read_epoch_csv(path: str, setup: RunSetup) -> MeasurementEpoch:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read epoch file {path}: {exc}") from None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            key, _, value = line.lstrip("#").partition("=")
-            headers[key.strip()] = (lineno, value.strip())
-            continue
-        if line.startswith("index,"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ConfigError(f"{path} line {lineno}: expected 3 columns")
-        try:
-            t_rows.append(float(parts[1]))
-            y_rows.append(float(parts[2]))
-        except ValueError:
-            raise ConfigError(f"{path} line {lineno}: bad number") from None
+    headers, body, dropped = _split_epoch_lines(text.splitlines())
+    del text        # the lines hold it now: 0.3 MB less peak at 10^4 rows
+    t_col, y_col = _parse_rows(path, body, dropped)
     if "t_prime_s" not in headers:
         raise ConfigError(f"{path}: missing '# t_prime_s = ...' header")
     lineno, value = headers["t_prime_s"]
@@ -152,18 +235,16 @@ def _read_epoch_csv(path: str, setup: RunSetup) -> MeasurementEpoch:
         if key in headers and headers[key][1] != want:
             raise ConfigError(f"{path}: epoch written with {key} = "
                               f"{headers[key][1]}, config has {key} = {want}")
-    if len(t_rows) < 2:
+    if t_col.size < 2:
         raise ConfigError(f"{path}: need at least two measurement rows")
     # the pings form a comb t_m * j: row j = 1 gives t_m, and every row
     # must agree with the comb to the digits it was written with
-    t_m = t_rows[1]
-    comb = t_m * np.arange(len(t_rows), dtype=float)
-    if not (t_m > 0.0 and np.all(np.abs(np.asarray(t_rows) - comb)
-                                  <= _COMB_RTOL * comb)):
+    t_m = float(t_col[1])
+    comb = t_m * np.arange(t_col.size, dtype=float)
+    if not (t_m > 0.0 and np.all(np.abs(t_col - comb) <= _COMB_RTOL * comb)):
         raise ConfigError(f"{path}: time column is not a ping comb "
-                          f"t_m * j, t_m = {t_rows[1]!r} from row 1")
-    return MeasurementEpoch(t_prime=t_prime, t_m=t_m,
-                            y_vec=np.asarray(y_rows))
+                          f"t_m * j, t_m = {t_m!r} from row 1")
+    return MeasurementEpoch(t_prime=t_prime, t_m=t_m, y_vec=y_col)
 
 
 def cmd_estimate(args) -> int:
@@ -196,21 +277,26 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be at least 1, got {args.trials}")
     if args.values:
         try:
             values = [float(v) for v in args.values.split(",")]
         except ValueError:
             raise ConfigError(f"bad --values list: {args.values!r}") from None
     else:
-        values = list(log_spaced_values(args.lo, args.hi, args.n_values))
+        try:
+            values = list(log_spaced_values(args.lo, args.hi, args.n_values))
+        except ValueError as exc:
+            raise ConfigError(f"bad --lo/--hi/--n-values: {exc}") from None
     rows = run_sweep(cfg, values, args.trials, timing=args.timing)
-    lines = ["f_d_true_hz,trial,seed,f_d_err_hz,phi_test_err_rad,"
-             "rho_err_m,runtime_s"]
-    lines.extend(
-        f"{_fmt(r.f_d_true)},{r.trial},{r.seed},{_fmt(r.f_d_err)},"
-        f"{_fmt(r.phi_test_err)},{_fmt(r.rho_err)},{_fmt(r.runtime)}"
-        for r in rows)
-    _write_lines(lines, args.out)
+    header = ["f_d_true_hz,trial,seed,f_d_err_hz,phi_test_err_rad,"
+              "rho_err_m,runtime_s"]
+    fields = ("f_d_true", "trial", "seed", "f_d_err", "phi_test_err",
+              "rho_err", "runtime")
+    _write_table(header, ",".join([_FLOAT, "%d", "%d"] + [_FLOAT] * 4),
+                 [[getattr(r, name) for r in rows] for name in fields],
+                 args.out)
     return 0
 
 
@@ -273,11 +359,10 @@ def cmd_detect(args) -> int:
     ]
     _write_lines(lines, args.out)
     if args.residuals is not None:
-        rows = ["index,attacked,preempted,flagged,residual_s"]
-        rows.extend(
-            f"{i},{int(attacked[i])},{int(won[i])},{int(flags[i])},"
-            f"{_fmt(resid[i])}" for i in range(n))
-        _write_lines(rows, args.residuals)
+        _write_table(["index,attacked,preempted,flagged,residual_s"],
+                     f"%d,%d,%d,%d,{_FLOAT}",
+                     [range(n), attacked.tolist(), won.tolist(),
+                      flags.tolist(), resid.tolist()], args.residuals)
     return 0
 
 

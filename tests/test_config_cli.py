@@ -6,11 +6,15 @@ determinism across whole processes is exercised separately in the
 acceptance suite.
 """
 
+import struct
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from climex import budget
+from climex import SweepRow, budget
+from climex import cli
 from climex.cli import main
 from climex.config import (
     ConfigError,
@@ -19,6 +23,7 @@ from climex.config import (
     load_config,
     parse_config_text,
 )
+from climex.signal_model import MeasurementEpoch
 
 
 # ----------------------------------------------------------------------
@@ -295,6 +300,277 @@ def test_simulate_estimate_roundtrip_over_ping_spacings(tmp_path_factory,
     assert f["at_grid_edge"] == d["at_grid_edge"]
 
 
+# ----------------------------------------------------------------------
+# table I/O against the per-row writer and per-line reader it replaced
+# ----------------------------------------------------------------------
+
+
+def _oracle_fmt(x):
+    return format(float(x), ".12e")
+
+
+def _oracle_simulate_text(setup, epoch):
+    lines = [
+        f"# protocol = {setup.protocol}",
+        f"# seed = {setup.scenario.seed}",
+        f"# t_prime_s = {_oracle_fmt(epoch.t_prime)}",
+        "index,t_rel_s,rtt_s",
+    ]
+    lines.extend(f"{i},{_oracle_fmt(epoch.t_vec[i])},"
+                 f"{_oracle_fmt(epoch.y_vec[i])}" for i in range(epoch.n))
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_sweep_text(rows):
+    lines = ["f_d_true_hz,trial,seed,f_d_err_hz,phi_test_err_rad,"
+             "rho_err_m,runtime_s"]
+    lines.extend(
+        f"{_oracle_fmt(r.f_d_true)},{r.trial},{r.seed},"
+        f"{_oracle_fmt(r.f_d_err)},{_oracle_fmt(r.phi_test_err)},"
+        f"{_oracle_fmt(r.rho_err)},{_oracle_fmt(r.runtime)}" for r in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_residuals_text(attacked, won, flags, resid):
+    rows = ["index,attacked,preempted,flagged,residual_s"]
+    rows.extend(
+        f"{i},{int(attacked[i])},{int(won[i])},{int(flags[i])},"
+        f"{_oracle_fmt(resid[i])}" for i in range(len(resid)))
+    return "\n".join(rows) + "\n"
+
+
+def _oracle_read_epoch_csv(path, setup):
+    headers = {}
+    t_rows, y_rows = [], []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read epoch file {path}: {exc}") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            key, _, value = line.lstrip("#").partition("=")
+            headers[key.strip()] = (lineno, value.strip())
+            continue
+        if line.startswith("index,"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise ConfigError(f"{path} line {lineno}: expected 3 columns")
+        try:
+            t_rows.append(float(parts[1]))
+            y_rows.append(float(parts[2]))
+        except ValueError:
+            raise ConfigError(f"{path} line {lineno}: bad number") from None
+    if "t_prime_s" not in headers:
+        raise ConfigError(f"{path}: missing '# t_prime_s = ...' header")
+    lineno, value = headers["t_prime_s"]
+    try:
+        t_prime = float(value)
+    except ValueError:
+        raise ConfigError(f"{path} line {lineno}: bad t_prime_s "
+                          f"value") from None
+    checked = {"protocol": setup.protocol}
+    if setup.protocol == "climex":
+        checked["seed"] = str(setup.scenario.seed)
+    for key, want in checked.items():
+        if key in headers and headers[key][1] != want:
+            raise ConfigError(f"{path}: epoch written with {key} = "
+                              f"{headers[key][1]}, config has {key} = {want}")
+    if len(t_rows) < 2:
+        raise ConfigError(f"{path}: need at least two measurement rows")
+    t_m = t_rows[1]
+    comb = t_m * np.arange(len(t_rows), dtype=float)
+    if not (t_m > 0.0 and np.all(np.abs(np.asarray(t_rows) - comb)
+                                  <= cli._COMB_RTOL * comb)):
+        raise ConfigError(f"{path}: time column is not a ping comb "
+                          f"t_m * j, t_m = {t_rows[1]!r} from row 1")
+    return MeasurementEpoch(t_prime=t_prime, t_m=t_m,
+                            y_vec=np.asarray(y_rows))
+
+
+def _bit_pattern_float(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+_ANY_FLOAT64 = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                     1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308,
+                     float("nan"), float("inf"), float("-inf")]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.integers(0, 2**64 - 1).map(_bit_pattern_float))
+
+
+@settings(max_examples=60, deadline=None)
+@given(t_prime=_ANY_FLOAT64,
+       cells=st.lists(st.tuples(_ANY_FLOAT64, _ANY_FLOAT64), max_size=40),
+       ints=st.lists(st.integers(-2**63, 2**63), min_size=80, max_size=80))
+def test_table_writers_match_per_row_writer(tmp_path_factory, t_prime,
+                                            cells, ints):
+    # the epoch and sweep CSVs, from stand-in data that may hold any
+    # float64, equal the per-row f-string writer's text byte for byte
+    work = tmp_path_factory.mktemp("writer")
+    setup = build_setup(dict(DEFAULTS))
+    t_vec = np.array([c[0] for c in cells], dtype=float)
+    y_vec = np.array([c[1] for c in cells], dtype=float)
+    epoch = SimpleNamespace(t_prime=t_prime, t_vec=t_vec, y_vec=y_vec,
+                            n=len(cells))
+    rows = [SweepRow(f_d_true=t, trial=ints[2 * i], seed=ints[2 * i + 1],
+                     f_d_err=y, phi_test_err=-t, rho_err=y * 0.5,
+                     runtime=t_prime) for i, (t, y) in enumerate(cells)]
+    sim, sweep = work / "sim.csv", work / "sweep.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_run_epoch", lambda s: (epoch, None))
+        mp.setattr(cli, "run_sweep", lambda *a, **k: rows)
+        assert main(["simulate", "--out", str(sim)]) == 0
+        assert main(["sweep", "--values", "500", "--trials", "1",
+                     "--out", str(sweep)]) == 0
+    assert sim.read_text() == _oracle_simulate_text(setup, epoch)
+    assert sweep.read_text() == _oracle_sweep_text(rows)
+
+
+def _recording(monkeypatch, name):
+    """Wrap cli.<name> so that each call's result is kept."""
+    real, seen = getattr(cli, name), []
+
+    def wrapper(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, name, wrapper)
+    return seen
+
+
+def test_residual_csv_matches_per_row_writer(tmp_path, monkeypatch):
+    cfgp = tmp_path / "attack.cfg"
+    cfgp.write_text("n_pings = 200\nattack = random\nattack_n = 40\n"
+                    "rho_ae_m = 3.5\nsigma_j_s = 1e-12\nsigma_c_s = 2e-12\n"
+                    "delta0_s = 2e-8\n")
+    plans = _recording(monkeypatch, "make_random_timing_plan")
+    remeasured = _recording(monkeypatch, "remeasure_epoch")
+    detected = _recording(monkeypatch, "detect_outliers")
+    resid_csv = tmp_path / "resid.csv"
+    assert main(["detect", "--config", str(cfgp), "--out",
+                 str(tmp_path / "detect.txt"), "--residuals",
+                 str(resid_csv)]) == 0
+    attacked = np.zeros(200, dtype=bool)
+    attacked[plans[0].indices] = True
+    (_, won), (flags, resid) = remeasured[0], detected[0]
+    assert resid_csv.read_text() == _oracle_residuals_text(attacked, won,
+                                                           flags, resid)
+
+
+def _small_epoch_lines(tmp_path, n_pings):
+    cfgp = tmp_path / f"n{n_pings}.cfg"
+    cfgp.write_text(f"n_pings = {n_pings}\n")
+    src = tmp_path / f"n{n_pings}.csv"
+    assert main(["simulate", "--config", str(cfgp), "--out", str(src)]) == 0
+    return str(cfgp), src.read_text().splitlines()
+
+
+def _edit_cell(line, col, text):
+    cells = line.split(",")
+    cells[col] = text
+    return ",".join(cells)
+
+
+# each case edits the lines of a simulated epoch file (3 header lines,
+# the column names, then the rows); the 1200-row file spans several
+# parse chunks
+_READER_CASES = {
+    "as_written": (40, lambda ls: ls),
+    "blank_lines": (40, lambda ls: ["", "  "] + ls[:10] + ["", "\t"]
+                    + ls[10:] + [""]),
+    "headers_after_body": (40, lambda ls: ls[3:] + ls[:3]),
+    "repeated_header_last_wins": (40, lambda ls: ls + ["# t_prime_s = 2.5"]),
+    "indented_header_and_index_line": (
+        40, lambda ls: ["  " + ls[0], "\t" + ls[2]] + ls[3:20] + ["index,x"]
+        + ls[20:]),
+    "spaces_around_cells": (40, lambda ls: ls[:4] + [
+        " " + ln.replace(",", " , ") + " \u2003" for ln in ls[4:]]),
+    "underscore_digits": (40, lambda ls: ls[:5] + [
+        _edit_cell(ls[5], 1, "1_0.0e-5"),
+        _edit_cell(ls[6], 2, ls[6].split(",")[2].replace("e", "_0e"))]
+        + ls[7:]),
+    "full_width_digits": (40, lambda ls: ls[:7] + [
+        "\uff17" + ls[7][1:],
+        _edit_cell(ls[8], 2, ls[8].split(",")[2].translate(
+            {ord(c): 0xFF10 + int(c) for c in "0123456789"}))] + ls[9:]),
+    "non_numeric_index": (40, lambda ls: ls[:4] + [
+        _edit_cell(ln, 0, "row") for ln in ls[4:]]),
+    "nan_value": (40, lambda ls: ls[:9] + [_edit_cell(ls[9], 2, "nan")]
+                  + ls[10:]),
+    "bad_cell": (40, lambda ls: ls[:12] + [_edit_cell(ls[12], 2, "4.5e-8x")]
+                 + ls[13:]),
+    "bad_time_cell_after_blanks": (1200, lambda ls: ls[:300] + ["", "#"]
+                                   + ls[300:1100]
+                                   + [_edit_cell(ls[1100], 1, "abc")]
+                                   + ls[1101:]),
+    "two_columns": (1200, lambda ls: ls[:700] + [ls[700].rsplit(",", 1)[0]]
+                    + ls[701:]),
+    "four_columns": (40, lambda ls: ls[:20] + [ls[20] + ",0"] + ls[21:]),
+    "two_then_four_columns": (1200, lambda ls: ls[:600] + [
+        ls[600].rsplit(",", 1)[0], ls[601] + ",7"] + ls[602:]),
+    "empty_cell": (40, lambda ls: ls[:4] + [ls[4][:-1] + ","] + ls[5:]),
+    "bad_row_before_missing_header": (40, lambda ls: ls[:2] + ls[3:15]
+                                      + ["1,2,3,4"] + ls[15:]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_READER_CASES))
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_epoch_reader_matches_per_line_reader(tmp_path, monkeypatch, capsys,
+                                              case, newline):
+    n_pings, edit = _READER_CASES[case]
+    cfgp, lines = _small_epoch_lines(tmp_path, n_pings)
+    path = tmp_path / "case.csv"
+    path.write_bytes((newline.join(edit(lines)) + newline).encode("utf-8"))
+    setup = build_setup(load_config(cfgp))
+    try:
+        want = _oracle_read_epoch_csv(str(path), setup)
+    except (ConfigError, ValueError) as exc:
+        with pytest.raises(type(exc)) as got:
+            cli._read_epoch_csv(str(path), setup)
+        assert str(got.value) == str(exc)
+    else:
+        got = cli._read_epoch_csv(str(path), setup)
+        assert float(got.t_m).hex() == float(want.t_m).hex()
+        assert float(got.t_prime).hex() == float(want.t_prime).hex()
+        assert got.y_vec.dtype == want.y_vec.dtype
+        assert got.y_vec.tobytes() == want.y_vec.tobytes()
+    # the whole command: the same exit code, message and output
+    runs = []
+    for reader in (cli._read_epoch_csv, _oracle_read_epoch_csv):
+        monkeypatch.setattr(cli, "_read_epoch_csv", reader)
+        out = tmp_path / "est.txt"
+        out.unlink(missing_ok=True)
+        code = main(["estimate", "--config", cfgp, "--in", str(path),
+                     "--out", str(out)])
+        runs.append((code, capsys.readouterr().err,
+                     out.read_bytes() if out.exists() else None))
+    assert runs[0] == runs[1]
+
+
+def test_estimate_names_the_line_of_a_bad_row(tmp_path, capsys):
+    # the two row refusals, each with exit 2 and the file's line number
+    cfgp, lines = _small_epoch_lines(tmp_path, 40)
+    bad = tmp_path / "bad.csv"
+    for edited, message in (
+            (lines[:10] + [_edit_cell(lines[10], 2, "4.5e-8?")] + lines[11:],
+             "line 11: bad number"),
+            (lines[:10] + ["", lines[10] + ",1"] + lines[11:],
+             "line 12: expected 3 columns"),
+            (lines[:10] + [lines[10].rsplit(",", 1)[0]] + lines[11:],
+             "line 11: expected 3 columns")):
+        bad.write_text("\n".join(edited) + "\n")
+        assert main(["estimate", "--config", cfgp, "--in", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{bad} {message}" in err
+
+
 def test_sweep_single_value_row(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--values", "500", "--trials", "1",
@@ -315,6 +591,20 @@ def test_sweep_single_value_row(tmp_path):
 
 def test_sweep_rejects_bad_values_list(tmp_path):
     assert main(["sweep", "--values", "2,abc"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--trials", "0"],
+    ["--values", "500", "--trials", "0"],
+    ["--n-values", "0"],
+    ["--lo", "0"],
+    ["--lo", "10", "--hi", "5"],
+])
+def test_sweep_usage_errors_exit_2(argv, capsys):
+    # the sweep library raises ValueError for these; as command-line
+    # arguments they are usage errors (exit 1 before)
+    assert main(["sweep"] + argv) == 2
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_detect_random_injection_smoke(tmp_path):

@@ -185,6 +185,23 @@ def test_chirp_z_ladder_matches_scipy_czt(n, tau, f_lo, df, count, masked):
     assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(ref)
 
 
+@pytest.mark.parametrize("n", [30000, 100000])
+def test_chirp_z_ladder_past_exact_chirp_angles(n):
+    # past m = 23170 (m^2 >= 2^29) the chirp's 24-bit head product
+    # rounds; on locked epochs the transform must still meet the loop
+    # within the 1.3e-11 of the peak that its docstring states, and pick
+    # the same frequency
+    tau = 1.0e-4
+    t = tau * np.arange(n)
+    for seed in (0, 1, 2):
+        y, dphase, a, _ = _ladder_inputs(seed, n, locked=True)
+        # 201 points around the lock at 0.37 / tau = 3700 Hz
+        czt = _chirp_z_mags(t, y, dphase, a, 3600.0, 1.0, 201)
+        loop = _resultant_mags(t, y, dphase, a, 3600.0, 1.0, 201)
+        assert np.argmax(czt) == np.argmax(loop) == 100
+        assert np.max(np.abs(czt - loop)) <= 1.3e-11 * np.max(loop)
+
+
 # ----------------------------------------------------------------------
 # ladder plan: the comb-only arrays, built once and shared
 # ----------------------------------------------------------------------

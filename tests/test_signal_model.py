@@ -3,6 +3,7 @@ noise moments, and the closed-form epoch generators."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from climex import (
     ClockParams,
@@ -47,6 +48,36 @@ def test_fold_half_open_range_property():
         v = fold(x, period)
         assert np.all(v >= 0.0)
         assert np.all(v < period)
+
+
+@st.composite
+def _fold_inputs(draw):
+    # a period from 1e-12 to 1e12, and values of either sign from 1e-300
+    # to 1e300 mixed with negatives 1e-15 to 1e-30 of the period, where
+    # np.mod rounds up to the period itself
+    period = 10.0 ** draw(st.floats(-12.0, 12.0))
+    wide = st.builds(lambda sign, e: sign * 10.0 ** e,
+                     st.sampled_from([-1.0, 1.0]), st.floats(-300.0, 300.0))
+    tiny_negative = st.floats(-30.0, -15.0).map(lambda e: -period * 10.0 ** e)
+    xs = draw(st.lists(st.one_of(wide, tiny_negative,
+                                 st.sampled_from([0.0, -0.0])),
+                       min_size=1, max_size=30))
+    return period, xs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fold_inputs())
+@example((1.0, [-1.0e-18, 1.0 - 1.0e-18, -1.0e-300, -5e-324]))
+@example((2.0 * np.pi, [-1.0e-16, -1.0e300, 1.0e300]))
+def test_fold_is_half_open_over_log_wide_magnitudes(inputs):
+    period, xs = inputs
+    out = fold(np.array(xs), period)
+    assert np.all((out >= 0.0) & (out < period))
+    for x, from_array in zip(xs, out):
+        v = fold(x, period)
+        assert v == from_array and 0.0 <= v < period
+        if np.mod(x, period) == period:
+            assert v == 0.0
 
 
 # ----------------------------------------------------------------------
