@@ -10,6 +10,7 @@ estimation errors), 2 configuration or usage errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -163,7 +164,8 @@ def _parse_rows(path: str, body: list[str], dropped: list[int]):
     rows all have three cells exactly when that gives 3 k cells and the
     k - 1 newlines all fall in cells 3, 6, 9, ...; the time and value
     cells are then every third cell from 1 and from 2, and numpy parses
-    each column in one call, taking ``float`` of every cell.  If a chunk
+    each column in one call, taking ``float`` of every cell.  An rtt
+    must be finite and non-negative, as a measurement is.  If a chunk
     fails, its rows are checked one by one and the error names the line
     of the first bad row.
     """
@@ -178,8 +180,10 @@ def _parse_rows(path: str, body: list[str], dropped: list[int]):
                 raise ValueError
             t_col[start:start + len(chunk)] = np.array(cells[1::3],
                                                        dtype=float)
-            y_col[start:start + len(chunk)] = np.array(cells[2::3],
-                                                       dtype=float)
+            y = y_col[start:start + len(chunk)]
+            y[:] = np.array(cells[2::3], dtype=float)
+            if not np.all(np.isfinite(y) & (y >= 0.0)):
+                raise ValueError
         except ValueError:
             _raise_bad_row(path, chunk, start, dropped)
     return t_col, y_col
@@ -194,10 +198,13 @@ def _raise_bad_row(path: str, chunk: list[str], start: int,
         else:
             try:
                 float(parts[1])
-                float(parts[2])
-                continue
+                rtt = float(parts[2])
             except ValueError:
                 problem = "bad number"
+            else:
+                if math.isfinite(rtt) and rtt >= 0.0:
+                    continue
+                problem = "rtt_s must be finite and non-negative"
         # row k sits after every dropped line that comes before it
         lineno = k + 1
         for skipped in dropped:
@@ -284,6 +291,9 @@ def cmd_sweep(args) -> int:
             values = [float(v) for v in args.values.split(",")]
         except ValueError:
             raise ConfigError(f"bad --values list: {args.values!r}") from None
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigError(f"bad --values list: {args.values!r} holds "
+                              f"a value that is not finite")
     else:
         try:
             values = list(log_spaced_values(args.lo, args.hi, args.n_values))

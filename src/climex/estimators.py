@@ -218,15 +218,35 @@ def _phase_costs(q: np.ndarray, y: np.ndarray, a: float, n_phi: int) -> np.ndarr
 
 def _norm_cdf(z: np.ndarray) -> np.ndarray:
     """Standard normal CDF via the Abramowitz-Stegun 7.1.26 erf
-    polynomial (|error| < 1.5e-7, far below the noise scales here)."""
+    polynomial (|error| < 1.5e-7, far below the noise scales here).
+
+    The formula is 0.5 (1 + sign(x) erf(|x|)), x = z / sqrt(2), with
+    erf(x) = 1 - t (0.254829592 + t (-0.284496736 + t (1.421413741
+    + t (-1.453152027 + t 1.061405429)))) exp(-x x), t = 1 / (1 +
+    0.3275911 x).  It is evaluated in four arrays, each step the same
+    IEEE operation as in that expression with its operands in the same
+    order, so the result is the same bit for bit, nan payloads included
+    (a vectorised product of two nans keeps the sign of one of them).
+    """
     x = np.asarray(z, dtype=float) / np.sqrt(2.0)
     s = np.sign(x)
-    x = np.abs(x)
-    t = 1.0 / (1.0 + 0.3275911 * x)
-    poly = t * (0.254829592 + t * (-0.284496736 + t * (1.421413741
-               + t * (-1.453152027 + t * 1.061405429))))
-    erf = 1.0 - poly * np.exp(-x * x)
-    return 0.5 * (1.0 + s * erf)
+    np.abs(x, out=x)
+    t = np.multiply(0.3275911, x)
+    np.add(1.0, t, out=t)
+    np.divide(1.0, t, out=t)
+    e = np.negative(x)
+    np.multiply(e, x, out=e)
+    np.exp(e, out=e)
+    poly = np.multiply(t, 1.061405429, out=x)
+    for coef in (-1.453152027, 1.421413741, -0.284496736, 0.254829592):
+        np.add(coef, poly, out=poly)
+        np.multiply(t, poly, out=poly)
+    np.multiply(poly, e, out=e)
+    np.subtract(1.0, e, out=e)          # erf(|z| / sqrt(2))
+    np.multiply(s, e, out=e)
+    np.add(1.0, e, out=e)
+    np.multiply(0.5, e, out=e)
+    return e
 
 
 def _smoothed_fold_mean(q: np.ndarray, a: float, sigma: float) -> float:
@@ -243,8 +263,17 @@ def _smoothed_fold_mean(q: np.ndarray, a: float, sigma: float) -> float:
     x = a * q
     if sigma <= 0.0:
         return float(x.mean())
-    corr = a * (_norm_cdf(-x / sigma) - _norm_cdf((x - a) / sigma))
-    return float((x + corr).mean())
+    # x + a (Phi(-x/sigma) - Phi((x-a)/sigma)), step by step in place,
+    # operands in the expression's order (see _norm_cdf)
+    u = np.negative(x)
+    np.divide(u, sigma, out=u)
+    corr = _norm_cdf(u)
+    np.subtract(x, a, out=u)
+    np.divide(u, sigma, out=u)
+    np.subtract(corr, _norm_cdf(u), out=corr)
+    np.multiply(a, corr, out=corr)
+    np.add(x, corr, out=corr)
+    return float(corr.mean())
 
 
 def _circular_level(t, y, dphase, a, f):
@@ -292,10 +321,18 @@ def _bluestein(c, n, count):
     n samples and count frequencies: the conjugate chirp W^(j^2/2) on the
     samples, and the FFT of the kernel W^(-m^2/2), zero-padded to a power
     of two L >= n + count - 1 so the circular convolution does not wrap.
+
+    The head product v = c_hi m^2 is reduced mod 2 as v - 2 floor(v / 2),
+    which equals ``np.fmod(v, 2.0)`` bit for bit at a fraction of its
+    cost: v >= 0 (the step c is never negative), halving, flooring and
+    doubling are exact, and so is the final subtraction, by Sterbenz's
+    lemma (2 floor(v / 2) is 0 or within a factor of two of v).
     """
     m2 = np.arange(max(n, count), dtype=float) ** 2
     c_hi = float(np.float32(c))
-    chirp = np.exp(1j * np.pi * (np.fmod(c_hi * m2, 2.0) + (c - c_hi) * m2))
+    v = c_hi * m2
+    chirp = np.exp(1j * np.pi * (v - 2.0 * np.floor(v * 0.5)
+                                 + (c - c_hi) * m2))
     size = 1 << (n + count - 2).bit_length()
     kern = np.zeros(size, dtype=complex)
     kern[:count] = chirp[:count]
@@ -368,14 +405,6 @@ def _ladder_plan(t_m, n, df, n_coarse, refine_step) -> _LadderPlan:
     return plan
 
 
-def _best_phi_index(t, y, dphase, a, f, n_phi):
-    """Argmin of the phase profile at a fixed frequency, first
-    occurrence in ascending phase order."""
-    q = fold(f * t + dphase, 1.0)
-    costs = _phase_costs(q, y, a, n_phi)
-    return int(np.argmin(costs))
-
-
 def grid_search(epoch: MeasurementEpoch, consts: ProtocolConstants, *,
                 amplitude: float | None = None, grid: SearchGrid | None = None,
                 delta_vec=None, sample_mask=None) -> ParamEstimate:
@@ -444,13 +473,16 @@ def grid_search(epoch: MeasurementEpoch, consts: ProtocolConstants, *,
     # ramp positions; the unbiased phase comes from the resultant angle
     # xi, which pins phase + floor only jointly (mod a), so the floor is
     # read first from the epoch mean against the smoothed fold model and
-    # then removed from xi.  Two passes settle the coupling.
+    # then removed from xi.  Two passes settle the coupling.  The seed
+    # is the profile's first argmin in ascending phase order.
+    ramp = f_hat * t + dphase
     n_phi2 = grid.n_phi * grid.refine
-    p_hat = _best_phi_index(t, y, dphase, a, f_hat, n_phi2) / n_phi2
+    costs = _phase_costs(fold(ramp, 1.0), y, a, n_phi2)
+    p_hat = int(np.argmin(costs)) / n_phi2
     xi, sigma = _circular_level(t, y, dphase, a, f_hat)
     y_mean = float(y.mean())
     for _ in range(2):
-        q = fold(f_hat * t + dphase + p_hat, 1.0)
+        q = fold(ramp + p_hat, 1.0)
         level = _smoothed_fold_mean(q, a, sigma)
         rho_hat = 0.5 * consts.c * (y_mean - level - consts.delta_0)
         p_hat = fold((xi - consts.delta_0 - 2.0 * rho_hat / consts.c) / a, 1.0)

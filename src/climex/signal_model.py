@@ -62,10 +62,21 @@ def fold(x, period):
     ``np.mod`` can return exactly ``period`` when ``x`` is a negative
     value tiny compared to ``period``; the half-open contract requires
     0.0 there, so that case is mapped explicitly.
+
+    A float array folded onto period 1 (the clock latch, in cycles)
+    takes ``x - floor(x)``, about ten times cheaper than ``np.mod`` and
+    equal to it bit for bit, nan and inf included.  ``np.mod(x, 1)``
+    is the exact ``fmod`` plus 1 once for a negative remainder, so it
+    rounds the real number ``x - floor(x)`` once; the floor is exact and
+    the subtraction rounds that same real number once.  Everything else
+    (scalars, integer arrays, other periods) goes through ``np.mod``.
     """
     if period <= 0.0:
         raise ValueError("period must be positive")
-    out = np.mod(x, period)
+    if period == 1.0 and isinstance(x, np.ndarray) and x.dtype.kind == "f":
+        out = x - np.floor(x)
+    else:
+        out = np.mod(x, period)
     if np.ndim(out) == 0:
         v = float(out)
         return 0.0 if v >= period else v

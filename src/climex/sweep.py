@@ -10,6 +10,7 @@ reproduced in isolation.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -37,6 +38,9 @@ class SweepRow:
 
 
 def log_spaced_values(lo: float, hi: float, n: int) -> np.ndarray:
+    for name, v in (("lo", lo), ("hi", hi)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v!r}")
     if lo <= 0.0 or hi <= lo:
         raise ValueError("need 0 < lo < hi for log spacing")
     if n < 1:

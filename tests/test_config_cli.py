@@ -6,7 +6,9 @@ determinism across whole processes is exercised separately in the
 acceptance suite.
 """
 
+import math
 import struct
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,6 +26,7 @@ from climex.config import (
     parse_config_text,
 )
 from climex.signal_model import MeasurementEpoch
+from climex.sweep import log_spaced_values
 
 
 # ----------------------------------------------------------------------
@@ -365,6 +368,9 @@ def _oracle_read_epoch_csv(path, setup):
             y_rows.append(float(parts[2]))
         except ValueError:
             raise ConfigError(f"{path} line {lineno}: bad number") from None
+        if not (math.isfinite(y_rows[-1]) and y_rows[-1] >= 0.0):
+            raise ConfigError(f"{path} line {lineno}: rtt_s must be finite "
+                              f"and non-negative")
     if "t_prime_s" not in headers:
         raise ConfigError(f"{path}: missing '# t_prime_s = ...' header")
     lineno, value = headers["t_prime_s"]
@@ -505,6 +511,11 @@ _READER_CASES = {
                   + ls[10:]),
     "bad_cell": (40, lambda ls: ls[:12] + [_edit_cell(ls[12], 2, "4.5e-8x")]
                  + ls[13:]),
+    "inf_value_before_bad_cell": (40, lambda ls: ls[:9] + [
+        _edit_cell(ls[9], 2, "inf")] + ls[10:12]
+        + [_edit_cell(ls[12], 2, "4.5e-8x")] + ls[13:]),
+    "negative_value_in_a_later_chunk": (1200, lambda ls: ls[:900] + [
+        _edit_cell(ls[900], 2, "-1e-9")] + ls[901:]),
     "bad_time_cell_after_blanks": (1200, lambda ls: ls[:300] + ["", "#"]
                                    + ls[300:1100]
                                    + [_edit_cell(ls[1100], 1, "abc")]
@@ -571,6 +582,22 @@ def test_estimate_names_the_line_of_a_bad_row(tmp_path, capsys):
         assert err.startswith("config error:") and f"{bad} {message}" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9"])
+def test_estimate_refuses_a_non_finite_or_negative_rtt(tmp_path, capsys,
+                                                       value):
+    # a measurement is finite and non-negative: a file that says
+    # otherwise is refused like any other malformed row (exit 1 with
+    # MeasurementEpoch's message, naming neither file nor line, before)
+    cfgp, lines = _small_epoch_lines(tmp_path, 40)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines[:9] + ["", _edit_cell(lines[9], 2, value)]
+                             + lines[10:]) + "\n")
+    assert main(["estimate", "--config", cfgp, "--in", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"config error: {bad} line 11: rtt_s must be finite "
+                   f"and non-negative\n")
+
+
 def test_sweep_single_value_row(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--values", "500", "--trials", "1",
@@ -605,6 +632,34 @@ def test_sweep_usage_errors_exit_2(argv, capsys):
     # arguments they are usage errors (exit 1 before)
     assert main(["sweep"] + argv) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--lo", "nan", "--n-values", "1", "--trials", "1"],
+     "lo must be finite, got nan"),
+    (["--lo", "2", "--hi", "inf", "--n-values", "2", "--trials", "1"],
+     "hi must be finite, got inf"),
+    (["--values", "nan", "--trials", "1"], "--values list: 'nan'"),
+    (["--values", "2,inf", "--trials", "1"], "--values list: '2,inf'"),
+], ids=["lo_nan", "hi_inf", "values_nan", "values_inf"])
+def test_sweep_refuses_arguments_that_are_not_finite(argv, named, capsys):
+    # nan passed the 0 < lo < hi check and an infinite hi had no bound:
+    # exit 1 "epoch values must be finite", or a numpy RuntimeWarning
+    # and exit 2 blaming the clock frequency
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep"] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("lo, hi", [(float("nan"), 10.0), (2.0, float("nan")),
+                                    (2.0, float("inf")),
+                                    (float("-inf"), 10.0)])
+def test_log_spaced_values_needs_finite_bounds(lo, hi):
+    with pytest.raises(ValueError, match="must be finite"):
+        log_spaced_values(lo, hi, 3)
 
 
 def test_detect_random_injection_smoke(tmp_path):
