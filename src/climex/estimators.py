@@ -25,11 +25,27 @@ floor, so the stage estimates f alone.
 Every epoch sits on the ping comb t_j = t_m j, so the coarse ladder
 f_lo + df k is a chirp-z transform of the sample phasors (Rabiner,
 Schafer and Rader 1969), computed by Bluestein's FFT convolution in
-O((N + K) log(N + K)) instead of N K.  A masked refit keeps the full
-comb and gives dropped samples zero weight.  On the comb R(f) repeats
-with period 1 / t_m, so a coarse ladder spanning a full period holds
-exact alias ties and is refused.  The short refine ladder around the
-coarse pick steps a running phasor instead.
+O((N + K) log(N + K)) instead of N K.  The convolution is padded to
+L = the smallest 11-smooth integer >= N + K - 1 (12 000 for the default
+10^4 pings and 2001 frequencies, where a power of two would take
+16 384), the lengths pocketfft transforms without a generic prime pass.
+A masked refit keeps the full comb and gives dropped samples zero
+weight.  On the comb R(f) repeats with period 1 / t_m, so a coarse
+ladder spanning a full period holds exact alias ties and is refused.
+
+The short refine ladder around the coarse pick steps a running phasor.
+It starts from the coarse ladder's own sample phasors, moved to the
+window's first frequency by a running product [1, z, z^2, ...] along
+the comb, and each step multiplies by the plan's step phasor, itself a
+running product; no complex exp is taken over the comb for either.
+
+The coarse and refine magnitudes feed nothing but two argmax calls, so
+their rounding matters only where two candidates tie to within it; a
+test holds the picks equal to a stepping loop from fresh exps.  The
+continuous outputs are another matter: phi, rho and the noise readback
+come from :func:`_circular_level` and the readout at the picked
+frequency, whose rounding reaches the printed fit, so that path keeps
+its exact expressions and the outputs stay bit for bit the same.
 
 The Bluestein chirp, the kernel's spectrum and the refine step phasor
 depend only on the comb and the grid, (t_m, N, df, K, df / refine), not
@@ -293,34 +309,60 @@ def _circular_level(t, y, dphase, a, f):
     return xi, float(sigma)
 
 
-def _resultant_mags(t, y, dphase, a, f_start, f_step, count, step=None):
-    """|R(f)| on the uniform frequency ladder f_start + f_step * k, for
-    any set of sample times.
+def _stepped_mags(cur, step, count):
+    """|R| on a uniform frequency ladder of count points, by stepping.
 
-    Stepping multiplies the running phasor by exp(-2 pi i f_step t)
-    instead of re-exponentiating per frequency; the accumulated rounding
-    over a few thousand steps is ~1e-13 relative, far below the noise
-    contrast the magnitudes are compared at.  Costs N per step, so it
-    serves only the short refine window; the tests also use it as the
-    oracle of :func:`_chirp_z_mags`.  ``step``, when given, is that
-    phasor already built on ``t``.
+    ``cur`` holds the sample phasors at the first frequency and is
+    stepped in place; ``step`` holds exp(-2 pi i f_step t) on the same
+    samples.  The rounding accumulated over a few dozen steps is far
+    below the noise contrast the magnitudes are compared at, and the
+    magnitudes feed only an argmax.
     """
-    base = _TWO_PI * (y / a - dphase - f_start * t)
-    cur = np.exp(1j * base)
-    if step is None:
-        step = np.exp(-1j * _TWO_PI * f_step * t)
     mags = np.empty(count)
-    for k in range(count):
-        mags[k] = abs(cur.sum())
+    mags[0] = abs(cur.sum())
+    for k in range(1, count):
         cur *= step
+        mags[k] = abs(cur.sum())
     return mags
+
+
+def _geometric(z, n):
+    """[1, z, z^2, ..., z^(n-1)] by a running product.
+
+    On the comb t_j = t_m j this stands in for exp(-2 pi i f t_j) with
+    z = exp(-2 pi i f t_m), at a fraction of the cost of a complex exp.
+    Its rounding grows with j: against the exp it is off by at most
+    4e-13 at 10^4 pings for the 0.1 Hz refine step and 3e-12 for a
+    2 kHz shift, ten times that at 10^5, which no argmax over a ladder
+    sees outside a near tie.
+    """
+    g = np.full(n, z, dtype=complex)
+    g[0] = 1.0
+    return np.cumprod(g, out=g)
+
+
+@functools.lru_cache(maxsize=64)
+def _fast_len(m):
+    """The smallest 11-smooth integer >= m (factors 2, 3, 5, 7, 11 only),
+    the lengths pocketfft transforms without a generic prime pass."""
+    k = m
+    while True:
+        r = k
+        for p in (2, 3, 5, 7, 11):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return k
+        k += 1
 
 
 def _bluestein(c, n, count):
     """The comb-only arrays of the chirp-z ladder W = exp(-2 pi i c) over
     n samples and count frequencies: the conjugate chirp W^(j^2/2) on the
-    samples, and the FFT of the kernel W^(-m^2/2), zero-padded to a power
-    of two L >= n + count - 1 so the circular convolution does not wrap.
+    samples, and the FFT of the kernel W^(-m^2/2), zero-padded to
+    L = _fast_len(n + count - 1) so the circular convolution does not
+    wrap.  An 11-smooth L is what pocketfft transforms fastest; a power
+    of two would pad the default comb's 12 000 points to 16 384.
 
     The head product v = c_hi m^2 is reduced mod 2 as v - 2 floor(v / 2),
     which equals ``np.fmod(v, 2.0)`` bit for bit at a fraction of its
@@ -333,7 +375,7 @@ def _bluestein(c, n, count):
     v = c_hi * m2
     chirp = np.exp(1j * np.pi * (v - 2.0 * np.floor(v * 0.5)
                                  + (c - c_hi) * m2))
-    size = 1 << (n + count - 2).bit_length()
+    size = _fast_len(n + count - 1)
     kern = np.zeros(size, dtype=complex)
     kern[:count] = chirp[:count]
     kern[size - n + 1:] = chirp[n - 1:0:-1]
@@ -342,20 +384,30 @@ def _bluestein(c, n, count):
 
 def _bluestein_mags(t, y, dphase, a, f_start, count, weight, chirp,
                     kernel_hat):
-    """|R_k| from the sample phasors and the arrays of :func:`_bluestein`."""
+    """|R_k| from the sample phasors and the arrays of :func:`_bluestein`,
+    and the unweighted sample phasors p0 = exp(2 pi i (y / a - dphase -
+    f_start t)), which start the refine window."""
     n = t.size
+    # p0 by the expression's own operations, in place: one complex
+    # array fewer at the peak
+    ang = y / a
+    ang -= dphase
+    ang -= f_start * t
+    p0 = np.multiply(1j * _TWO_PI, ang)
+    del ang
+    np.exp(p0, out=p0)
     x = np.zeros(kernel_hat.size, dtype=complex)
-    x[:n] = np.exp(1j * _TWO_PI * (y / a - dphase - f_start * t)) * chirp
+    np.multiply(p0, chirp, out=x[:n])
     if weight is not None:
         x[:n] *= weight
     x = np.fft.fft(x, out=x)                   # in place: one buffer only
     x *= kernel_hat
-    return np.abs(np.fft.ifft(x, out=x)[:count])
+    return np.abs(np.fft.ifft(x, out=x)[:count]), p0
 
 
 def _chirp_z_mags(t, y, dphase, a, f_start, f_step, count, weight=None):
-    """|R(f)| on the same ladder as :func:`_resultant_mags`, for a grid
-    t_j = tau j, as one Bluestein chirp-z transform.
+    """|R(f)| on the uniform ladder f_start + f_step k, k < count, for a
+    grid t_j = tau j, as one Bluestein chirp-z transform.
 
     With W = exp(-2 pi i f_step tau), R_k = sum_j x_j W^(jk) where x_j
     carries the f_start phasor and the optional per-sample weight.
@@ -364,12 +416,16 @@ def _chirp_z_mags(t, y, dphase, a, f_start, f_step, count, weight=None):
     leading W^(k^2/2) has unit modulus and is dropped.
 
     The chirp angle pi c m^2, c = f_step tau, reaches pi c N^2, far past
-    the accumulated angles of the loop.  Splitting c into a 24-bit head
-    plus a tail keeps the angle as precise as the loop's: the head's
-    product with m^2 is exact while m^2 < 2^29 and is then reduced mod 2
-    exactly.  Past that (m > 23170) the product rounds: at N = 10^5 and
-    tau = 10^-4 s the transform meets the loop to about 1e-11 N (at
-    most 1.3e-11 of the peak on locked epochs, three seeds).
+    the accumulated angles of a stepping loop.  Splitting c into a
+    24-bit head plus a tail keeps the angle as precise as the loop's:
+    the head's product with m^2 is exact while m^2 < 2^29 and is then
+    reduced mod 2 exactly.  Past that (m > 23170) the product rounds: at
+    N = 10^5 and tau = 10^-4 s the transform meets the loop to about
+    1e-11 N (at most 1.3e-11 of the peak on locked epochs, three seeds).
+
+    The magnitudes feed only grid_search's coarse argmax: their
+    rounding, which depends on the padded length L of :func:`_bluestein`,
+    settles no pick outside a near tie.
 
     The chirp and the kernel spectrum depend only on (c, N, count), so
     :func:`grid_search` takes them from :func:`_ladder_plan` instead of
@@ -377,7 +433,7 @@ def _chirp_z_mags(t, y, dphase, a, f_start, f_step, count, weight=None):
     serves the tests.
     """
     return _bluestein_mags(t, y, dphase, a, f_start, count, weight,
-                           *_bluestein(f_step * t[1], t.size, count))
+                           *_bluestein(f_step * t[1], t.size, count))[0]
 
 
 class _LadderPlan(NamedTuple):
@@ -397,9 +453,8 @@ def _ladder_plan(t_m, n, df, n_coarse, refine_step) -> _LadderPlan:
     The arrays are shared by every caller, so they are read-only.
     """
     chirp, kernel_hat = _bluestein(df * t_m, n, n_coarse)
-    t = t_m * np.arange(n, dtype=float)
-    plan = _LadderPlan(chirp, kernel_hat,
-                       np.exp(-1j * _TWO_PI * refine_step * t))
+    plan = _LadderPlan(chirp, kernel_hat, _geometric(
+        np.exp(-1j * _TWO_PI * refine_step * t_m), n))
     for arr in plan:
         arr.flags.writeable = False
     return plan
@@ -450,23 +505,28 @@ def grid_search(epoch: MeasurementEpoch, consts: ProtocolConstants, *,
             f"below the alias period 1 / t_m = {1.0 / epoch.t_m:g} Hz")
     step = grid.df / grid.refine
     plan = _ladder_plan(epoch.t_m, t.size, grid.df, n_coarse, step)
-    mags = _bluestein_mags(t, y, dphase, a, grid.f_lo, n_coarse, keep,
-                           plan.chirp, plan.kernel_hat)
-    step_phasor = plan.refine_step
-    if keep is not None:
-        t, y, step_phasor = t[keep], y[keep], step_phasor[keep]
-        if delta_vec is not None:
-            dphase = dphase[keep]
+    mags, cur = _bluestein_mags(t, y, dphase, a, grid.f_lo, n_coarse, keep,
+                                plan.chirp, plan.kernel_hat)
     i_c = int(np.argmax(mags))          # first occurrence: smallest f wins ties
     f_c = grid.f_lo + grid.df * i_c
     at_edge = i_c in (0, n_coarse - 1)
 
     # +-df around the coarse pick; interior picks have grid points as
-    # neighbours so only boundary picks need one-sided windows.
+    # neighbours so only boundary picks need one-sided windows.  The
+    # window's start phasors are the coarse ladder's, shifted along the
+    # comb by a running product.
     k_lo = -grid.refine if i_c > 0 else 0
     k_hi = grid.refine if i_c < n_coarse - 1 else 0
-    mags_f = _resultant_mags(t, y, dphase, a, f_c + step * k_lo, step,
-                             k_hi - k_lo + 1, step_phasor)
+    f_start = f_c + step * k_lo
+    cur *= _geometric(np.exp(-1j * _TWO_PI * (f_start - grid.f_lo)
+                             * epoch.t_m), t.size)
+    step_phasor = plan.refine_step
+    if keep is not None:
+        t, y, cur, step_phasor = t[keep], y[keep], cur[keep], step_phasor[keep]
+        if delta_vec is not None:
+            dphase = dphase[keep]
+    mags_f = _stepped_mags(cur, step_phasor, k_hi - k_lo + 1)
+    del cur                 # not held through the readout's temporaries
     f_hat = f_c + step * (k_lo + int(np.argmax(mags_f)))
 
     # Phase/floor readout.  The least-squares phase profile seeds the

@@ -598,6 +598,22 @@ def test_estimate_refuses_a_non_finite_or_negative_rtt(tmp_path, capsys,
                    f"and non-negative\n")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_estimate_refuses_a_non_finite_epoch_timestamp(tmp_path, capsys,
+                                                       value):
+    # float() parses these, and the fit printed phi_test_hat_rad = nan
+    # and t_test_s = nan with exit 0 before
+    cfgp, lines = _small_epoch_lines(tmp_path, 40)
+    assert lines[2].startswith("# t_prime_s = ")
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines[:2] + [f"# t_prime_s = {value}"]
+                             + lines[3:]) + "\n")
+    assert main(["estimate", "--config", cfgp, "--in", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"config error: {bad} line 3: t_prime_s must be finite, "
+                   f"got {value!r}\n")
+
+
 def test_sweep_single_value_row(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--values", "500", "--trials", "1",
@@ -632,6 +648,35 @@ def test_sweep_usage_errors_exit_2(argv, capsys):
     # arguments they are usage errors (exit 1 before)
     assert main(["sweep"] + argv) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--values", "1e6"], "swept beat 1000000.0 Hz is outside the search "
+                          "grid [-1000.0, 1000.0] Hz"),
+    (["--values", "500,-2000"], "swept beat -2000.0 Hz is outside the "
+                                "search grid [-1000.0, 1000.0] Hz"),
+    (["--values", "0"], "swept beat 0.0 Hz: a zero beat leaves the "
+                        "counterpart phase unobservable"),
+    (["--hi", "5000", "--n-values", "3"], "swept beat 5000.0 Hz is "
+                                          "outside the search grid "
+                                          "[-1000.0, 1000.0] Hz"),
+], ids=["past_grid", "below_grid", "zero", "log_spaced_past_grid"])
+def test_sweep_refuses_beats_the_grid_cannot_hold(argv, named, capsys,
+                                                  tmp_path):
+    # 1e6 wrote a row with f_d_err_hz = -1.0e6 and exit 0 before, and 0
+    # exited 1 from the fit; nothing is written now
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep"] + argv + ["--trials", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {named}\n"
+    assert not out.exists()
+
+
+def test_sweep_takes_beats_on_the_grid_edges(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--values", "1000,-1000", "--trials", "1",
+                 "--out", str(out)]) == 0
+    rows = _lines(out)[1:]
+    assert [float(r.split(",")[0]) for r in rows] == [1000.0, -1000.0]
 
 
 @pytest.mark.parametrize("argv, named", [

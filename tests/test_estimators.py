@@ -12,9 +12,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.signal
 import scipy.stats
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from climex import (
     ClockParams,
@@ -39,10 +40,31 @@ from climex import (
 from climex import estimators
 from climex.estimators import (
     _chirp_z_mags,
+    _fast_len,
     _ladder_plan,
     _phase_costs,
-    _resultant_mags,
+    dither_cycles,
 )
+
+
+def resultant_mags(t, y, dphase, a, f_start, f_step, count):
+    """|R(f)| on the uniform frequency ladder f_start + f_step * k, for
+    any set of sample times: the stepping loop, the oracle of the chirp-z
+    ladder and of grid_search's picks.
+
+    Stepping multiplies the running phasor by exp(-2 pi i f_step t)
+    instead of re-exponentiating per frequency; the accumulated rounding
+    over a few thousand steps is ~1e-13 relative, far below the noise
+    contrast the magnitudes are compared at.
+    """
+    base = 2.0 * np.pi * (y / a - dphase - f_start * t)
+    cur = np.exp(1j * base)
+    step = np.exp(-1j * 2.0 * np.pi * f_step * t)
+    mags = np.empty(count)
+    for k in range(count):
+        mags[k] = abs(cur.sum())
+        cur *= step
+    return mags
 
 
 # ----------------------------------------------------------------------
@@ -164,7 +186,7 @@ def test_chirp_z_ladder_matches_loop(n, log_tau, count, span, lo, seed,
         keep[:] = True
     czt = _chirp_z_mags(t, y, dphase, a, f_lo, df, count,
                         keep if masked else None)
-    loop = _resultant_mags(t[keep], y[keep], dphase[keep], a, f_lo, df, count)
+    loop = resultant_mags(t[keep], y[keep], dphase[keep], a, f_lo, df, count)
     assert np.max(np.abs(czt - loop)) <= 1e-9 * np.max(loop)
 
 
@@ -197,9 +219,91 @@ def test_chirp_z_ladder_past_exact_chirp_angles(n):
         y, dphase, a, _ = _ladder_inputs(seed, n, locked=True)
         # 201 points around the lock at 0.37 / tau = 3700 Hz
         czt = _chirp_z_mags(t, y, dphase, a, 3600.0, 1.0, 201)
-        loop = _resultant_mags(t, y, dphase, a, 3600.0, 1.0, 201)
+        loop = resultant_mags(t, y, dphase, a, 3600.0, 1.0, 201)
         assert np.argmax(czt) == np.argmax(loop) == 100
         assert np.max(np.abs(czt - loop)) <= 1.3e-11 * np.max(loop)
+
+
+def test_fast_len_is_scipys_complex_fast_length():
+    # the Bluestein length: the smallest 11-smooth integer at or above m
+    ms = list(range(1, 20_001)) + [99_991, 100_000, 100_001, 100_352,
+                                   100_353, 101_999]
+    assert ([_fast_len(m) for m in ms]
+            == [scipy.fft.next_fast_len(m, real=False) for m in ms])
+
+
+def _near_tie(mags):
+    # the top two magnitudes within 1e-9 of the larger: rounding may
+    # settle the pick there, so the test makes no claim about it
+    if mags.size < 2:
+        return False
+    second, first = np.sort(mags)[-2:]
+    return first - second <= 1e-9 * first
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(16, 30_000),
+       log_tm=st.floats(-6.0, -2.0),
+       span=st.floats(0.05, 0.95),
+       lo=st.floats(-0.5, 0.0),
+       count=st.integers(2, 1200),
+       refine=st.integers(1, 12),
+       lock=st.one_of(st.none(), st.floats(0.0, 1.0)),
+       seed=st.integers(0, 2**32 - 1),
+       masked=st.booleans(),
+       dithered=st.booleans())
+# 10^5 pings: the chirp's head product rounds past m = 23170, and the
+# running products reach j = 10^5
+@example(n=100_000, log_tm=-4.0, span=0.2, lo=-0.1, count=201, refine=10,
+         lock=0.63, seed=5, masked=True, dithered=True)
+def test_grid_search_picks_are_the_stepping_loops(n, log_tm, span, lo, count,
+                                                  refine, lock, seed, masked,
+                                                  dithered):
+    # the coarse pick, the grid-edge flag and the refined beat equal
+    # those of the loop over the whole coarse ladder followed by the loop
+    # over the refine window from a fresh exp: the chirp-z transform,
+    # the 11-smooth padding and the running-product phasors move the
+    # magnitudes by rounding only.  A ladder whose top two magnitudes
+    # nearly tie (see _near_tie) is skipped.
+    consts = ProtocolConstants()
+    rng = np.random.default_rng(seed)
+    t_m = 10.0 ** log_tm
+    df = span / (t_m * (count - 1))
+    grid = SearchGrid(f_lo=lo / t_m, f_hi=lo / t_m + df * (count - 1),
+                      df=df, refine=refine)
+    a = 1.0 / consts.f_nominal
+    delta = rng.uniform(0.0, 3.0 * a, n) if dithered else None
+    dphase = dither_cycles(delta, consts, n)
+    t = t_m * np.arange(n)
+    if lock is None:
+        cycles = rng.uniform(0.0, 1.0, n)
+    else:
+        f_true = grid.f_lo + lock * (grid.f_hi - grid.f_lo)
+        cycles = np.mod(f_true * t + dphase + 0.05 * rng.normal(size=n), 1.0)
+    epoch = MeasurementEpoch(t_prime=0.0, t_m=t_m,
+                             y_vec=a * cycles + 2.5e-8)
+    keep = rng.random(n) < 0.7 if masked else np.ones(n, dtype=bool)
+    keep[:2] = True
+
+    y = epoch.y_vec
+    dk = dphase[keep] if dithered else dphase
+    n_coarse = grid.freq_values().size
+    coarse = resultant_mags(t[keep], y[keep], dk, a, grid.f_lo, grid.df,
+                            n_coarse)
+    assume(not _near_tie(coarse))
+    i_c = int(np.argmax(coarse))
+    f_c = grid.f_lo + grid.df * i_c
+    k_lo = -refine if i_c > 0 else 0
+    k_hi = refine if i_c < n_coarse - 1 else 0
+    step = grid.df / refine
+    fine = resultant_mags(t[keep], y[keep], dk, a, f_c + step * k_lo, step,
+                          k_hi - k_lo + 1)
+    assume(not _near_tie(fine))
+
+    est = grid_search(epoch, consts, grid=grid, delta_vec=delta,
+                      sample_mask=keep if masked else None)
+    assert est.at_grid_edge == (i_c in (0, n_coarse - 1))
+    assert est.f_d_hat == f_c + step * (k_lo + int(np.argmax(fine)))
 
 
 # ----------------------------------------------------------------------
@@ -209,25 +313,45 @@ def test_chirp_z_ladder_past_exact_chirp_angles(n):
 
 def _cold_and_warm(monkeypatch, epoch, consts, **kw):
     # the warm fit must find its plan in the memo and build no chirp,
-    # kernel spectrum or refine step of its own
+    # kernel spectrum or refine step of its own: its one running product
+    # is the refine window's start, and the refine loop steps by the
+    # plan's phasor (a cold fit builds the step as a second product)
     _ladder_plan.cache_clear()
     cold = grid_search(epoch, consts, **kw)
     before = _ladder_plan.cache_info()
+    calls, steps = [], []
 
     def no_bluestein(*args):
         raise AssertionError("warm fit built a chirp")
 
-    def refine_with_plan_step(*args):
-        assert len(args) == 8 and args[7] is not None, \
-            "warm fit built a refine step"
-        return _resultant_mags(*args)
+    def geometric(*args):
+        calls.append("geometric")
+        return real_geometric(*args)
 
+    def refine(cur, step, count):
+        calls.append("refine")
+        steps.append(step)
+        return real_refine(cur, step, count)
+
+    real_geometric = estimators._geometric
+    real_refine = estimators._stepped_mags
     with monkeypatch.context() as m:
         m.setattr(estimators, "_bluestein", no_bluestein)
-        m.setattr(estimators, "_resultant_mags", refine_with_plan_step)
+        m.setattr(estimators, "_geometric", geometric)
+        m.setattr(estimators, "_stepped_mags", refine)
         warm = grid_search(epoch, consts, **kw)
     after = _ladder_plan.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert calls == ["geometric", "refine"], "warm fit built a refine step"
+    grid = SearchGrid()
+    plan_step = _ladder_plan(epoch.t_m, epoch.n, grid.df,
+                             grid.freq_values().size,
+                             grid.df / grid.refine).refine_step
+    mask = kw.get("sample_mask")
+    if mask is None:
+        assert steps[0] is plan_step
+    else:
+        assert steps[0].tobytes() == plan_step[mask].tobytes()
     return cold, warm
 
 

@@ -4,7 +4,8 @@
 ``_smoothed_fold_mean`` are written for speed, with the claim that
 they return the same floats as the straightforward expressions kept
 below as references: ``np.mod`` for the fold, ``np.fmod`` for the chirp
-angle, and the one-line Abramowitz-Stegun CDF and smoothed mean.  The
+angle (its kernel padded to ``scipy.fft.next_fast_len``), and the
+one-line Abramowitz-Stegun CDF and smoothed mean.  The
 property tests compare them bit for bit (nan payloads included), check
 that the output dtype is the reference's and that no input array is
 written to.  The last test pins four whole fits to ``float.hex``
@@ -15,6 +16,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import example, given, settings, strategies as st
 
 from climex.adversary import (
@@ -55,7 +57,7 @@ def _ref_bluestein(c, n, count):
     m2 = np.arange(max(n, count), dtype=float) ** 2
     c_hi = float(np.float32(c))
     chirp = np.exp(1j * np.pi * (np.fmod(c_hi * m2, 2.0) + (c - c_hi) * m2))
-    size = 1 << (n + count - 2).bit_length()
+    size = scipy.fft.next_fast_len(n + count - 1, real=False)
     kern = np.zeros(size, dtype=complex)
     kern[:count] = chirp[:count]
     kern[size - n + 1:] = chirp[n - 1:0:-1]
