@@ -53,35 +53,217 @@ _COMB_RTOL = 2.0 * 10.0 ** (1 - _DIGITS)
 # only one chunk are alive at once
 _PARSE_CHUNK = 512
 
+# table rows are formatted this many at a time, so the scratch arrays
+# of only one chunk are alive at once
+_WRITE_CHUNK = 2048
+
 _ASCII_DIGITS = frozenset("0123456789")
+
+# For the decimal exponents e = -32..34 (i = e + 32): 10^(12 - e) as the
+# exact factors _SCALE_UP[i] * _SCALE_UP2[i] / _SCALE_DOWN[i], each at
+# most 10^22 and all but one of them 1 for e >= -10, and the bound on
+# |M - rint(M)| under which the rounded M = |x| * 10^(12 - e) is trusted
+# (see _write_table)
+_SCALE_UP = np.array([float(10 ** min(max(12 - e, 0), 22))
+                      for e in range(-32, 35)])
+_SCALE_UP2 = np.array([float(10 ** max(-10 - e, 0)) for e in range(-32, 35)])
+_SCALE_DOWN = np.array([float(10 ** max(e - 12, 0)) for e in range(-32, 35)])
+_HALF_LIMIT = np.array([0.5 - 2.0 ** -8 if e < -10 else 0.5
+                        for e in range(-32, 35)])
+
+
+def _digit_words() -> np.ndarray:
+    """Word i (i < 10^4) holds the four ASCII digits of i; word 10^4 + i
+    the same with leading zeros turned to NUL, 0 all NUL; and word
+    2 * 10^4 + i likewise, but 0 as "0"."""
+    words = np.empty((3, 10, 10, 10, 10, 4), dtype=np.uint8)
+    for j in range(4):
+        words[..., j] = np.arange(ord("0"), ord("9") + 1).reshape(
+            [10 if k == j else 1 for k in range(4)])
+    bare = words[1:].reshape(2, 10000, 4)
+    bare *= np.logical_or.accumulate(bare != ord("0"), axis=2)
+    words[2, 0, 0, 0, 0, 3] = ord("0")
+    return words.reshape(-1).view(np.uint32)
+
+
+_DIGIT_WORDS = _digit_words()
+
+# "e+dd" or "e-dd" as word e + 32, for the exponents e = -32..35 a
+# fast-path cell prints
+_EXP_WORDS = np.frombuffer(b"".join(b"e%+03d" % e for e in range(-32, 36)),
+                           dtype=np.uint32)
+
+_INT64_MIN = np.iinfo(np.int64).min
 
 
 def _fmt(x) -> str:
     return _FLOAT % float(x)
 
 
-def _write_text(text, out_path) -> None:
+def _write_text(parts, out_path) -> None:
+    """The strings ``parts``, one after another, to ``out_path`` or to
+    stdout."""
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(parts)
 
 
 def _write_lines(lines, out_path) -> None:
-    _write_text("\n".join(lines) + "\n", out_path)
+    _write_text(["\n".join(lines) + "\n"], out_path)
 
 
-def _write_table(header_lines, row_format, columns, out_path) -> None:
-    """The header lines, then one ``row_format`` line per row of
-    ``columns`` (equal-length sequences of Python numbers), built by one
-    ``%`` format over the interleaved cells."""
-    width, n = len(columns), len(columns[0])
-    cells = [None] * (width * n)
-    for j, column in enumerate(columns):
-        cells[j::width] = column
-    _write_text("\n".join(header_lines) + "\n"
-                + (row_format + "\n") * n % tuple(cells), out_path)
+def _float_cells(x: np.ndarray):
+    """``_FLOAT % v`` for the float64 array ``x``: a uint8 array of one
+    fixed-width cell per value, with a sign byte (NUL for a positive
+    value) only if some value is negative, and the mask of the cells it
+    leaves to the ``%`` format, whose bytes it does not set."""
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # floor(log10 |x|), clipped to the scale tables
+        e = np.fmax(np.fmin(np.floor(np.log10(a)), 34.0), -32.0)
+        i = e.astype(np.int64) + 32
+        m = a * _SCALE_UP[i] * _SCALE_UP2[i] / _SCALE_DOWN[i]
+        n = np.rint(m)
+        ok = (np.abs(m - n) < _HALF_LIMIT[i]) & (m >= 1e12) & (n <= 1e13)
+    top = n == 1e13
+    n[top] = 1e12
+    i += top
+    n[~ok] = 0.0
+    q = n.astype(np.int64)
+    lead = q // 10 ** 12
+    q -= lead * 10 ** 12
+    hi = q // 10 ** 8
+    q -= hi * 10 ** 8
+    mid = q // 10 ** 4
+    q -= mid * 10 ** 4
+    words = np.empty((x.size, 4), dtype=np.uint32)
+    words[:, 0] = _DIGIT_WORDS[hi]
+    words[:, 1] = _DIGIT_WORDS[mid]
+    words[:, 2] = _DIGIT_WORDS[q]
+    words[:, 3] = _EXP_WORDS[i]
+    neg = np.signbit(x)
+    s = int(neg.any())
+    cells = np.empty((x.size, s + 18), dtype=np.uint8)
+    if s:
+        cells[:, 0] = neg * ord("-")
+    cells[:, s] = lead + ord("0")
+    cells[:, s + 1] = ord(".")
+    cells[:, s + 2:] = words.view(np.uint8)
+    return cells, ~ok
+
+
+def _int_cells(v: np.ndarray):
+    """``"%d" % v`` for the int64 or bool array ``v``: a uint8 array of
+    one fixed-width cell per value, with a sign byte only if some value
+    is negative and leading zeros as NUL, and the mask of the cells left
+    to the ``%`` format: -2^63, whose magnitude int64 cannot hold."""
+    if v.dtype == bool:
+        return (v.view(np.uint8) + ord("0"))[:, None], np.zeros(v.size, bool)
+    bad = v == _INT64_MIN
+    u = np.abs(v)
+    u[bad] = 0
+    width = len(str(int(u.max()))) if u.size else 1
+    groups = (width + 3) // 4
+    words = np.empty((v.size, groups), dtype=np.uint32)
+    for j in range(groups - 1, -1, -1):
+        above = u // 10 ** 4
+        # the leading group has its leading zeros as NUL, and is all NUL
+        # if it is 0 and not the last
+        bare = (above == 0) * (2 * 10 ** 4 if j == groups - 1 else 10 ** 4)
+        words[:, j] = _DIGIT_WORDS[u - above * 10 ** 4 + bare]
+        u = above
+    neg = v < 0
+    s = int(neg.any())
+    cells = np.empty((v.size, s + width), dtype=np.uint8)
+    if s:
+        cells[:, 0] = neg * ord("-")
+    cells[:, s:] = words.view(np.uint8)[:, 4 * groups - width:]
+    return cells, bad
+
+
+def _int_column(column) -> np.ndarray:
+    """``column`` as a bool or int64 array; as an object array of its
+    ints where int64 cannot hold them all, which the writer formats cell
+    by cell."""
+    arr = np.asarray(column)
+    if arr.dtype == bool:
+        return arr
+    if arr.dtype.kind == "i":
+        return arr.astype(np.int64, copy=False)
+    return np.asarray(column, dtype=object)
+
+
+def _format_rows(columns, cell_formats) -> str:
+    """The rows of ``columns`` as text, cell ``j`` of a row formatted
+    by ``cell_formats[j]`` (``_FLOAT`` or ``"%d"``) and the cells joined
+    by commas, one line per row."""
+    n = len(columns[0])
+    parts = []
+    for column, fmt in zip(columns, cell_formats):
+        if column.dtype == object:
+            cells, left = np.zeros((n, 0), dtype=np.uint8), np.ones(n, bool)
+        elif fmt == "%d":
+            cells, left = _int_cells(column)
+        else:
+            cells, left = _float_cells(column)
+        rows = np.flatnonzero(left)
+        if rows.size:
+            # the cells left, by one % format over them all
+            texts = ("\n".join([fmt] * rows.size)
+                     % tuple(column[rows].tolist())).split("\n")
+            texts = np.array(texts, dtype=bytes).view(np.uint8).reshape(
+                rows.size, -1)
+            width = texts.shape[1]
+            if width > cells.shape[1]:
+                cells = np.pad(cells, ((0, 0), (0, width - cells.shape[1])))
+            cells[rows, :width] = texts
+            cells[rows, width:] = 0
+        parts += [cells, np.full((n, 1), ord(","), dtype=np.uint8)]
+    parts[-1][:] = ord("\n")
+    return (np.concatenate(parts, axis=1).tobytes().replace(b"\0", b"")
+            .decode("ascii"))
+
+
+def _write_table(header_lines, cell_formats, columns, out_path) -> None:
+    """The header lines, then one line per row of ``columns``
+    (equal-length arrays or sequences), cell ``j`` written byte for byte
+    as ``cell_formats[j] % v`` writes it, ``_FLOAT`` or ``"%d"``.
+
+    Rows are formatted ``_WRITE_CHUNK`` at a time in numpy, each cell a
+    fixed-width byte field padded with NUL, and the NULs are dropped once
+    per chunk.  Why the bytes are the ``%`` format's:
+
+    - A float x.  Let e be floor(log10 |x|) clipped to [-32, 34], and
+      t = |x| * 10^(12 - e) exactly.  M is |x| multiplied or divided by
+      exact powers of ten up to 10^22: one correctly rounded operation
+      for e >= -10, two below.  The cell is taken from N = rint(M) when
+      10^12 <= M, N <= 10^13 and |M - N| < 1/2 (one rounding) or
+      < 1/2 - 2^-8 (two).  Then t rounds to N as well: one rounding is
+      monotonic and every D + 1/2 below 2^52 is a float, so M < D + 1/2
+      gives t < D + 1/2; two leave |M - t| <= 2^-52 M < 0.0023.  So t
+      lies in (10^12 - 0.003, 10^13 + 1/2), and ``%.12e`` prints the
+      digits of N (split exactly from int64) with exponent e, or
+      1.000000000000 with e + 1 for N = 10^13.  Where t is just below
+      10^12, or at least 10^13, the exponent one off prints that same
+      text; nothing rests on log10 being exact, since an estimate a
+      decade off only sends cells to the fallback.
+    - An int64 prints its magnitude's digits, a bool 0 or 1.
+
+    Every other cell is written by the ``%`` format, in one call per
+    column chunk: nan, +-inf, 0.0 and -0.0, subnormals, |x| outside
+    [1e-32, 1e35), the rare M near a half, -2^63, and columns of Python
+    ints past int64.
+    """
+    columns = [_int_column(c) if fmt == "%d" else np.asarray(c, dtype=float)
+               for c, fmt in zip(columns, cell_formats)]
+    n = len(columns[0])
+    parts = ["\n".join(header_lines) + "\n"]
+    for start in range(0, n, _WRITE_CHUNK):
+        parts.append(_format_rows([c[start:start + _WRITE_CHUNK]
+                                   for c in columns], cell_formats))
+    _write_text(parts, out_path)
 
 
 def _setup_from_args(args) -> RunSetup:
@@ -124,9 +306,8 @@ def cmd_simulate(args) -> int:
         f"# t_prime_s = {_fmt(epoch.t_prime)}",
         "index,t_rel_s,rtt_s",
     ]
-    _write_table(header, f"%d,{_FLOAT},{_FLOAT}",
-                 [range(epoch.n), epoch.t_vec.tolist(), epoch.y_vec.tolist()],
-                 args.out)
+    _write_table(header, ("%d", _FLOAT, _FLOAT),
+                 [np.arange(epoch.n), epoch.t_vec, epoch.y_vec], args.out)
     return 0
 
 
@@ -317,7 +498,7 @@ def cmd_sweep(args) -> int:
               "rho_err_m,runtime_s"]
     fields = ("f_d_true", "trial", "seed", "f_d_err", "phi_test_err",
               "rho_err", "runtime")
-    _write_table(header, ",".join([_FLOAT, "%d", "%d"] + [_FLOAT] * 4),
+    _write_table(header, (_FLOAT, "%d", "%d") + (_FLOAT,) * 4,
                  [[getattr(r, name) for r in rows] for name in fields],
                  args.out)
     return 0
@@ -355,8 +536,10 @@ def cmd_detect(args) -> int:
     attacked = np.zeros(n, dtype=bool)
     won = np.zeros(n, dtype=bool)
     if setup.attack != "none":
-        if setup.attack_n < 1:
-            raise ConfigError("attack_n must be positive when attack is on")
+        if not 1 <= setup.attack_n <= n:
+            raise ConfigError(f"attack_n must be in [1, n_pings] when attack "
+                              f"is on, got attack_n = {setup.attack_n} with "
+                              f"n_pings = {n}")
         maker = (make_random_timing_plan if setup.attack == "random"
                  else make_oracle_plan)
         plan = maker(log, setup.rho_ae, setup.attack_n, rng=setup.attack_seed)
@@ -383,9 +566,9 @@ def cmd_detect(args) -> int:
     _write_lines(lines, args.out)
     if args.residuals is not None:
         _write_table(["index,attacked,preempted,flagged,residual_s"],
-                     f"%d,%d,%d,%d,{_FLOAT}",
-                     [range(n), attacked.tolist(), won.tolist(),
-                      flags.tolist(), resid.tolist()], args.residuals)
+                     ("%d", "%d", "%d", "%d", _FLOAT),
+                     [np.arange(n), attacked, won, flags, resid],
+                     args.residuals)
     return 0
 
 
@@ -394,7 +577,18 @@ def cmd_detect(args) -> int:
 # ======================================================================
 
 
+# the parser build_parser made, once it has made it
+_PARSER: list = []
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and returned
+    again after: a process that calls ``main`` many times, as the tests
+    and in-process callers do, builds it once (argparse set-up costs
+    ~1 ms, mostly in the help formatter's locale lookups).  Parsing
+    leaves the parser as it was."""
+    if _PARSER:
+        return _PARSER[0]
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH",
                         help="key = value config file; defaults otherwise")
@@ -444,6 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--residuals", metavar="PATH",
                     help="also write the per-ping residual CSV here")
     pd.set_defaults(func=cmd_detect)
+    _PARSER.append(p)
     return p
 
 

@@ -168,6 +168,10 @@ class RunSetup:
 
 def build_setup(cfg: dict) -> RunSetup:
     """Validate and assemble a full run setup from a config dict."""
+    for key in ("seed", "attack_seed"):
+        if cfg[key] < 0:
+            raise ConfigError(f"{key} must be a non-negative integer, "
+                              f"got {cfg[key]}")
     try:
         initiator = ClockParams(f_hz=cfg["f0_hz"] + cfg["offset_a_hz"],
                                 theta_rad=cfg["theta_a_rad"])

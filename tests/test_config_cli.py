@@ -9,6 +9,7 @@ acceptance suite.
 import math
 import struct
 import warnings
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -438,6 +439,98 @@ def test_table_writers_match_per_row_writer(tmp_path_factory, t_prime,
     assert sweep.read_text() == _oracle_sweep_text(rows)
 
 
+def _near_halves(digits, exp):
+    """The float nearest (D + 1/2) * 10^(e - 12), where ``%.12e`` rounds
+    between D and D + 1, and the floats on either side of it."""
+    x = float(Fraction(2 * digits + 1, 2) * Fraction(10) ** (exp - 12))
+    return [x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)]
+
+
+def _decade_edges(exp):
+    """10^e and its neighbours, and the floats around the point where
+    9.9999999999995 * 10^(e - 1) rounds up to 1.000000000000e+e."""
+    x = float(Fraction(10) ** exp)
+    return ([x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)]
+            + _near_halves(10 ** 13 - 1, exp - 1))
+
+
+# the fast path's exponents run from -32 to 34 (35 after a decade bump);
+# below -10 it rounds twice
+_FAST_EXPS = range(-36, 38)
+
+_INT64_EDGES = [2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, 2 ** 63 - 1, 10 ** 16,
+                10 ** 4, 9999, 10, 9, 1, 0]
+_INT64_EDGES += [-v for v in _INT64_EDGES] + [-2 ** 63]
+_PAST_INT64 = [2 ** 63, -2 ** 63 - 1, 2 ** 64, -10 ** 30]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), x=_ANY_FLOAT64,
+       digits=st.integers(10 ** 12, 10 ** 13 - 1),
+       exp=st.sampled_from(_FAST_EXPS), i=st.integers(-2 ** 63, 2 ** 63 - 1),
+       big=st.sampled_from(_PAST_INT64))
+@example(seed=None, x=0.0, digits=0, exp=0, i=0, big=2 ** 63)
+def test_cell_formatter_is_the_percent_format_bit_for_bit(
+        tmp_path_factory, seed, x, digits, exp, i, big):
+    # every float cell as _FLOAT % v and every int cell as "%d" % v: the
+    # fast path's digits and exponents, its decade bump, its near-half
+    # cells after one rounding and after two, and each cell it leaves to
+    # the % format (zeros, nan, inf, subnormals, |e| >= 100, -2^63, ints
+    # past int64)
+    if seed is None:
+        # every decade edge and near half at the ends of each exponent
+        floats = [v for e in _FAST_EXPS for v in
+                  _decade_edges(e) + _near_halves(10 ** 12, e)
+                  + _near_halves(10 ** 13 - 2, e)]
+        floats += [0.0, 9.9999999999995e-05, 5e-324, 2.2250738585072014e-308,
+                   1e100, 9.99999999999995e99, 1e-100, math.nan, math.inf]
+    else:
+        rng = np.random.default_rng(seed)
+        floats = [x] + _near_halves(digits, exp) + _decade_edges(exp)
+        floats += [v for d, e in zip(rng.integers(10 ** 12, 10 ** 13, 50),
+                                     rng.choice(_FAST_EXPS, 50))
+                   for v in _near_halves(int(d), int(e))]
+        # random bit patterns, and magnitudes spread over 10^+-40
+        floats += rng.integers(0, 2 ** 64, 200, dtype=np.uint64,
+                               endpoint=False).view(np.float64).tolist()
+        floats += (10.0 ** rng.uniform(-40.0, 40.0, 400)).tolist()
+    floats += [-v for v in floats]
+    n = len(floats)
+    rng = np.random.default_rng(0 if seed is None else seed)
+    ints = np.concatenate([_INT64_EDGES, [i],
+                           rng.integers(-2 ** 63, 2 ** 63, n, dtype=np.int64,
+                                        endpoint=False),
+                           rng.integers(-10 ** 5, 10 ** 5, n)])[:n]
+    python_ints = (_PAST_INT64 + [big, i] + ints.tolist())[:n]
+    flags = rng.random(n) < 0.5
+    out = tmp_path_factory.mktemp("cells") / "cells.csv"
+    cli._write_table(["h"], (cli._FLOAT, "%d", "%d", "%d", cli._FLOAT),
+                     [np.array(floats), ints, python_ints, flags,
+                      floats[::-1]], str(out))
+    want = "h\n" + "".join(
+        f"{cli._FLOAT % f},{d:d},{b:d},{g:d},{cli._FLOAT % r}\n"
+        for f, d, b, g, r in zip(floats, ints.tolist(), python_ints,
+                                 flags.tolist(), floats[::-1]))
+    assert out.read_bytes() == want.encode("ascii")
+
+
+@pytest.mark.parametrize("shift", [-1.0, 1.0])
+def test_cell_formatter_holds_with_an_exponent_estimate_one_off(
+        tmp_path, monkeypatch, shift):
+    # the fast path vouches for a cell only while M lands in
+    # [10^12, 10^13], so an exponent estimate a decade off sends a cell
+    # to the fallback or to the decade bump, never to wrong digits
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+    floats = [v for e in _FAST_EXPS for v in _decade_edges(e)]
+    floats += (10.0 ** np.random.default_rng(5).uniform(-9.0, 30.0, 300)
+               ).tolist()
+    out = tmp_path / "cells.csv"
+    cli._write_table([], (cli._FLOAT,), [floats], str(out))
+    assert out.read_text() == "\n" + "".join(f"{cli._FLOAT % v}\n"
+                                             for v in floats)
+
+
 def _recording(monkeypatch, name):
     """Wrap cli.<name> so that each call's result is kept."""
     real, seen = getattr(cli, name), []
@@ -450,23 +543,44 @@ def _recording(monkeypatch, name):
     return seen
 
 
+@pytest.mark.parametrize("n_pings", [cli._WRITE_CHUNK - 1, cli._WRITE_CHUNK,
+                                     cli._WRITE_CHUNK + 1, 10000])
+def test_simulate_csv_matches_per_row_writer(tmp_path, monkeypatch, n_pings):
+    # the writer's chunk edges and the default 10^4-ping epoch, on a
+    # simulated epoch's own numbers
+    cfgp = tmp_path / "run.cfg"
+    cfgp.write_text(f"n_pings = {n_pings}\n")
+    epochs = _recording(monkeypatch, "_run_epoch")
+    out = tmp_path / "epoch.csv"
+    assert main(["simulate", "--config", str(cfgp), "--out", str(out)]) == 0
+    setup = build_setup(load_config(str(cfgp)))
+    assert out.read_text() == _oracle_simulate_text(setup, epochs[0][0])
+
+
 def test_residual_csv_matches_per_row_writer(tmp_path, monkeypatch):
+    # ps noise puts the residuals near 1e-11, where the fast path rounds
+    # twice; ns noise near 1e-9, where it rounds once, over two chunks
     cfgp = tmp_path / "attack.cfg"
-    cfgp.write_text("n_pings = 200\nattack = random\nattack_n = 40\n"
-                    "rho_ae_m = 3.5\nsigma_j_s = 1e-12\nsigma_c_s = 2e-12\n"
-                    "delta0_s = 2e-8\n")
-    plans = _recording(monkeypatch, "make_random_timing_plan")
-    remeasured = _recording(monkeypatch, "remeasure_epoch")
-    detected = _recording(monkeypatch, "detect_outliers")
-    resid_csv = tmp_path / "resid.csv"
-    assert main(["detect", "--config", str(cfgp), "--out",
-                 str(tmp_path / "detect.txt"), "--residuals",
-                 str(resid_csv)]) == 0
-    attacked = np.zeros(200, dtype=bool)
-    attacked[plans[0].indices] = True
-    (_, won), (flags, resid) = remeasured[0], detected[0]
-    assert resid_csv.read_text() == _oracle_residuals_text(attacked, won,
-                                                           flags, resid)
+    for text in ("n_pings = 200\nattack = random\nattack_n = 40\n"
+                 "rho_ae_m = 3.5\nsigma_j_s = 1e-12\nsigma_c_s = 2e-12\n"
+                 "delta0_s = 2e-8\n",
+                 f"n_pings = {cli._WRITE_CHUNK + 1}\nattack = random\n"
+                 f"attack_n = 40\n"):
+        cfgp.write_text(text)
+        plans = _recording(monkeypatch, "make_random_timing_plan")
+        remeasured = _recording(monkeypatch, "remeasure_epoch")
+        detected = _recording(monkeypatch, "detect_outliers")
+        resid_csv = tmp_path / "resid.csv"
+        assert main(["detect", "--config", str(cfgp), "--out",
+                     str(tmp_path / "detect.txt"), "--residuals",
+                     str(resid_csv)]) == 0
+        (_, won), (flags, resid) = remeasured[0], detected[0]
+        assert (resid < 0.0).any() and (resid > 0.0).any()
+        attacked = np.zeros(resid.size, dtype=bool)
+        attacked[plans[0].indices] = True
+        assert resid_csv.read_text() == _oracle_residuals_text(
+            attacked, won, flags, resid)
+        monkeypatch.undo()
 
 
 def _small_epoch_lines(tmp_path, n_pings):
@@ -754,6 +868,23 @@ def test_config_errors_exit_2(tmp_path, capsys):
     zero.write_text("attack = random\nattack_n = 0\n")
     assert main(["detect", "--config", str(zero)]) == 2
     assert "config error:" in capsys.readouterr().err
+    # each exited 1 before, with numpy's "expected non-negative integer"
+    # or "n_attack must be in [1, n_pings]", naming neither key nor value
+    cfgp = tmp_path / "run.cfg"
+    for text, argv, named in (
+            ("", ["simulate", "--seed", "-1"], "seed must be a non-negative "
+                                               "integer, got -1"),
+            ("seed = -1\n", ["estimate"], "seed must be a non-negative "
+                                          "integer, got -1"),
+            ("n_pings = 200\nattack = random\nattack_n = 40\n"
+             "attack_seed = -1\n", ["detect"],
+             "attack_seed must be a non-negative integer, got -1"),
+            ("n_pings = 200\nattack = random\nattack_n = 500\n", ["detect"],
+             "attack_n must be in [1, n_pings] when attack is on, got "
+             "attack_n = 500 with n_pings = 200")):
+        cfgp.write_text(text)
+        assert main(argv + ["--config", str(cfgp)]) == 2
+        assert capsys.readouterr().err == f"config error: {named}\n"
 
 
 def test_non_finite_config_value_exits_2(tmp_path, capsys):
@@ -777,3 +908,32 @@ def test_usage_errors_exit_2(capsys):
     assert main([]) == 2
     assert main(["bogus"]) == 2
     capsys.readouterr()
+
+
+def test_parser_answers_the_same_after_a_usage_error(tmp_path, capsys,
+                                                     monkeypatch):
+    # the parser is built once per process and kept: the commands (and
+    # the help text) give the same bytes from a fresh parser and from
+    # one a usage error went through
+    monkeypatch.setattr(cli, "_PARSER", [])
+    cfgp = tmp_path / "run.cfg"
+    cfgp.write_text("n_pings = 200\nattack = random\nattack_n = 40\n")
+    config = ["--config", str(cfgp)]
+    commands = (["simulate"] + config, ["estimate"] + config,
+                ["detect"] + config, ["budget"] + config,
+                ["sweep", "--values", "500", "--trials", "1"] + config,
+                ["--help"], ["detect", "--help"])
+
+    def run_all():
+        runs = []
+        for argv in commands:
+            runs.append((main(argv),) + capsys.readouterr())
+        return runs
+
+    first = run_all()
+    parser = cli.build_parser()
+    assert main(["bogus"]) == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    assert run_all() == first
+    assert cli.build_parser() is parser
+    assert [run[0] for run in first] == [0] * len(commands)
