@@ -58,7 +58,6 @@ DEFAULTS: dict = {
     "grid_f_lo_hz": -1000.0,
     "grid_f_hi_hz": 1000.0,
     "grid_df_hz": 1.0,
-    "grid_n_phi": 64,
     "grid_refine": 10,
     "t_test_offset_s": 0.25,
     # detection / injection
@@ -172,6 +171,14 @@ def build_setup(cfg: dict) -> RunSetup:
         if cfg[key] < 0:
             raise ConfigError(f"{key} must be a non-negative integer, "
                               f"got {cfg[key]}")
+    for key in ("rho_ae_m", "rho_be_m"):
+        if cfg[key] < 0.0:
+            raise ConfigError(f"{key} must be non-negative, got {cfg[key]:g}")
+    if not cfg["detect_k"] > 0.0:
+        raise ConfigError(f"detect_k must be positive, got {cfg['detect_k']:g}")
+    if not 0.0 <= cfg["detect_trim"] < 0.5:
+        raise ConfigError(f"detect_trim must be in [0, 0.5), "
+                          f"got {cfg['detect_trim']:g}")
     try:
         initiator = ClockParams(f_hz=cfg["f0_hz"] + cfg["offset_a_hz"],
                                 theta_rad=cfg["theta_a_rad"])
@@ -189,8 +196,7 @@ def build_setup(cfg: dict) -> RunSetup:
                                    a_scale=cfg["a_scale_s"])
         noise = NoiseParams(sigma_j=cfg["sigma_j_s"], sigma_c=cfg["sigma_c_s"])
         grid = SearchGrid(f_lo=cfg["grid_f_lo_hz"], f_hi=cfg["grid_f_hi_hz"],
-                          df=cfg["grid_df_hz"], n_phi=cfg["grid_n_phi"],
-                          refine=cfg["grid_refine"])
+                          df=cfg["grid_df_hz"], refine=cfg["grid_refine"])
         binputs = BudgetInputs(
             f0_hz=cfg["budget_f0_hz"], ppm=cfg["budget_ppm"],
             f_step_hz=cfg["budget_f_step_hz"],

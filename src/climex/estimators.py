@@ -56,20 +56,15 @@ the refine phasor with its mask.  The arrays are built by the same
 expressions either way, so a fit is bit for bit the same from a fresh
 or a reused plan.
 
-Phase stage.  At the selected frequency the phase is read from the
-least-squares profile J(phi) = sum((z - mean(z))**2), z = y - model.
-Mean removal profiles out the floor exactly, so rho never enters the
-search; it is read off afterwards from the residual mean.  Wrap noise
-inflates this profile by a phi-independent floor but leaves its argmin
-near the true phase, which is all the stage needs.
-
-The phase profile is evaluated by a bin partition rather than a loop
-over candidate phases.  For a phase on the uniform grid p = k / n_phi
-(in cycles), the folded model is a * (frac(u) + p - [frac(u) >= 1 - p]),
-and the threshold 1 - k / n_phi aligns exactly with the fractional-part
-bin edge floor(frac(u) * n_phi) = n_phi - k.  All n_phi costs therefore
-come from three bincounts plus suffix sums, equal (up to float
-round-off) to building each model explicitly.
+Phase stage.  At the selected frequency the resultant angle xi of the
+sample phasors locates the epoch's constant level on the fold circle,
+phase plus floor, known only jointly (mod a).  The floor, which carries
+rho, is read from the epoch mean against the smoothed fold mean of the
+model (see :func:`_smoothed_fold_mean`) and removed from xi; two passes
+settle the coupling.  The first pass starts from xi with the fold mean
+taken as a / 2.  There is no least-squares phase profile: its argmin
+was a discrete pick that input rounding flips on a sample-phase
+lattice (rational f_d t_m).
 """
 
 from __future__ import annotations
@@ -111,16 +106,14 @@ second of the epoch it was estimated from.
 class SearchGrid:
     """Grid-search layout.
 
-    The coarse stage scans f in [f_lo, f_hi] at step df against n_phi
-    phases.  The refine stage multiplies both densities by ``refine``
-    in a +-df window around the coarse pick (refine = 1 changes
-    nothing).
+    The coarse stage scans f in [f_lo, f_hi] at step df.  The refine
+    stage steps df / ``refine`` in a +-df window around the coarse pick
+    (refine = 1 changes nothing).
     """
 
     f_lo: float = -1000.0
     f_hi: float = 1000.0
     df: float = 1.0
-    n_phi: int = 64
     refine: int = 10
 
     def __post_init__(self):
@@ -131,8 +124,8 @@ class SearchGrid:
             raise ValueError("need f_hi > f_lo")
         if self.df <= 0.0:
             raise ValueError("df must be positive")
-        if self.n_phi < 1 or self.refine < 1:
-            raise ValueError("n_phi and refine must be at least 1")
+        if self.refine < 1:
+            raise ValueError("refine must be at least 1")
 
     def freq_values(self) -> np.ndarray:
         """Coarse ladder f_lo + df k, k = 0 .. floor((f_hi - f_lo) / df),
@@ -203,33 +196,6 @@ def dither_cycles(delta_vec, consts: ProtocolConstants, n: int):
 # ======================================================================
 # the sweep core
 # ======================================================================
-
-
-def _phase_costs(q: np.ndarray, y: np.ndarray, a: float, n_phi: int) -> np.ndarray:
-    """Costs of all n_phi uniform-grid phases for one candidate f_d.
-
-    q must lie in [0, 1).  Expansion of J over z = s - a p + a I with
-    s = y - a q and I the wrap indicator leaves only two bin-dependent
-    sums: the indicator count and the indicator-masked sum of s, both
-    read from suffix sums over the q bins.
-    """
-    n = q.size
-    s = y - a * q
-    s1 = s.sum()
-    s2 = float(np.dot(s, s))
-    bins = (q * n_phi).astype(np.int64)
-    cnt = np.bincount(bins, minlength=n_phi).astype(float)
-    wsum = np.bincount(bins, weights=s, minlength=n_phi)
-    rc = np.cumsum(cnt[::-1])
-    rw = np.cumsum(wsum[::-1])
-    c_k = np.concatenate(([0.0], rc[:-1]))
-    si_k = np.concatenate(([0.0], rw[:-1]))
-    p = np.arange(n_phi) / n_phi
-    ap = a * p
-    zsum = s1 - ap * n + a * c_k
-    zsq = (s2 + n * ap**2 + a * a * c_k - 2.0 * ap * s1
-           + 2.0 * a * si_k - 2.0 * a * ap * c_k)
-    return zsq - zsum * zsum / n
 
 
 def _norm_cdf(z: np.ndarray) -> np.ndarray:
@@ -364,6 +330,9 @@ def _bluestein(c, n, count):
     wrap.  An 11-smooth L is what pocketfft transforms fastest; a power
     of two would pad the default comb's 12 000 points to 16 384.
 
+    The chirp angle pi c m^2 reaches pi c N^2, so c is split into a
+    24-bit head c_hi and a tail: c_hi m^2 is exact while m^2 < 2^29
+    (m <= 23170) and rounds past that.
     The head product v = c_hi m^2 is reduced mod 2 as v - 2 floor(v / 2),
     which equals ``np.fmod(v, 2.0)`` bit for bit at a fraction of its
     cost: v >= 0 (the step c is never negative), halving, flooring and
@@ -405,37 +374,6 @@ def _bluestein_mags(t, y, dphase, a, f_start, count, weight, chirp,
     return np.abs(np.fft.ifft(x, out=x)[:count]), p0
 
 
-def _chirp_z_mags(t, y, dphase, a, f_start, f_step, count, weight=None):
-    """|R(f)| on the uniform ladder f_start + f_step k, k < count, for a
-    grid t_j = tau j, as one Bluestein chirp-z transform.
-
-    With W = exp(-2 pi i f_step tau), R_k = sum_j x_j W^(jk) where x_j
-    carries the f_start phasor and the optional per-sample weight.
-    Writing jk = (j^2 + k^2 - (k - j)^2) / 2 turns the sum into the
-    convolution of x_j W^(j^2/2) with W^(-m^2/2), taken by FFT; the
-    leading W^(k^2/2) has unit modulus and is dropped.
-
-    The chirp angle pi c m^2, c = f_step tau, reaches pi c N^2, far past
-    the accumulated angles of a stepping loop.  Splitting c into a
-    24-bit head plus a tail keeps the angle as precise as the loop's:
-    the head's product with m^2 is exact while m^2 < 2^29 and is then
-    reduced mod 2 exactly.  Past that (m > 23170) the product rounds: at
-    N = 10^5 and tau = 10^-4 s the transform meets the loop to about
-    1e-11 N (at most 1.3e-11 of the peak on locked epochs, three seeds).
-
-    The magnitudes feed only grid_search's coarse argmax: their
-    rounding, which depends on the padded length L of :func:`_bluestein`,
-    settles no pick outside a near tie.
-
-    The chirp and the kernel spectrum depend only on (c, N, count), so
-    :func:`grid_search` takes them from :func:`_ladder_plan` instead of
-    building them here; this entry point builds them on every call and
-    serves the tests.
-    """
-    return _bluestein_mags(t, y, dphase, a, f_start, count, weight,
-                           *_bluestein(f_step * t[1], t.size, count))[0]
-
-
 class _LadderPlan(NamedTuple):
     chirp: np.ndarray          # conjugate Bluestein chirp on the n pings
     kernel_hat: np.ndarray     # FFT of the Bluestein kernel, length L
@@ -463,7 +401,8 @@ def _ladder_plan(t_m, n, df, n_coarse, refine_step) -> _LadderPlan:
 def grid_search(epoch: MeasurementEpoch, consts: ProtocolConstants, *,
                 amplitude: float | None = None, grid: SearchGrid | None = None,
                 delta_vec=None, sample_mask=None) -> ParamEstimate:
-    """Fit (f_d, phi) by exhaustive search, then read rho off the floor.
+    """Fit f_d by exhaustive search, then read phi and rho off the
+    resultant angle and the floor.
 
     Parameters
     ----------
@@ -529,18 +468,15 @@ def grid_search(epoch: MeasurementEpoch, consts: ProtocolConstants, *,
     del cur                 # not held through the readout's temporaries
     f_hat = f_c + step * (k_lo + int(np.argmax(mags_f)))
 
-    # Phase/floor readout.  The least-squares phase profile seeds the
-    # ramp positions; the unbiased phase comes from the resultant angle
-    # xi, which pins phase + floor only jointly (mod a), so the floor is
-    # read first from the epoch mean against the smoothed fold model and
-    # then removed from xi.  Two passes settle the coupling.  The seed
-    # is the profile's first argmin in ascending phase order.
+    # Phase/floor readout.  The resultant angle xi pins phase + floor
+    # only jointly (mod a), so the floor is read from the epoch mean
+    # against the smoothed fold model and then removed from xi.  The
+    # first pass takes the fold mean as a/2; two passes settle the
+    # coupling.
     ramp = f_hat * t + dphase
-    n_phi2 = grid.n_phi * grid.refine
-    costs = _phase_costs(fold(ramp, 1.0), y, a, n_phi2)
-    p_hat = int(np.argmin(costs)) / n_phi2
     xi, sigma = _circular_level(t, y, dphase, a, f_hat)
     y_mean = float(y.mean())
+    p_hat = fold((xi - y_mean + 0.5 * a) / a, 1.0)
     for _ in range(2):
         q = fold(ramp + p_hat, 1.0)
         level = _smoothed_fold_mean(q, a, sigma)

@@ -7,9 +7,11 @@ acceptance suite.
 """
 
 import math
+import re
 import struct
 import warnings
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -70,6 +72,14 @@ def test_load_config_defaults_and_missing_file(tmp_path):
     assert load_config(None) == DEFAULTS
     with pytest.raises(ConfigError, match="cannot read config file"):
         load_config(str(tmp_path / "nope.cfg"))
+
+
+def test_readme_key_table_names_every_config_key_once():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    table = readme.split("| group | keys |\n", 1)[1].split("\n\n", 1)[0]
+    named = re.findall(r"`([a-z0-9_]+)`", table)
+    assert sorted(named) == sorted(DEFAULTS)
 
 
 def test_build_setup_rejects_bad_geometry():
@@ -156,23 +166,32 @@ def test_seed_flag_overrides_config(tmp_path):
 
 def test_estimate_roundtrip_through_epoch_csv(tmp_path):
     # estimating from the written CSV must agree with the in-memory
-    # path up to the file's 12-digit quantization
+    # path up to the file's 12-digit quantization, also on the 200-ping
+    # ps-noise epoch whose sample phases sit on a lattice (f_d t_m =
+    # 1/20), where a discrete pick in the readout would flip with that
+    # rounding
+    cfgp = tmp_path / "run.cfg"
     epoch_csv = tmp_path / "epoch.csv"
     direct, via_file = tmp_path / "direct.txt", tmp_path / "file.txt"
-    assert main(["simulate", "--out", str(epoch_csv)]) == 0
-    assert main(["estimate", "--out", str(direct)]) == 0
-    assert main(["estimate", "--in", str(epoch_csv),
-                 "--out", str(via_file)]) == 0
-    d, f = _kv(direct), _kv(via_file)
-    assert d["at_grid_edge"] == f["at_grid_edge"] == "0"
-    assert float(d["f_d_hat_hz"]) == float(f["f_d_hat_hz"])
-    assert abs(float(d["rho_hat_m"]) - float(f["rho_hat_m"])) < 1e-6
-    assert abs(float(d["phi_test_hat_rad"]) -
-               float(f["phi_test_hat_rad"])) < 1e-4
-    assert abs(float(d["f_d_hat_hz"]) - 500.0) < 0.2
-    assert abs(float(d["rho_hat_m"]) - 3.0) < 0.05
-    assert float(d["t_b_hat_s"]) == pytest.approx(1.0 / (1.0e8 - 187.0),
-                                                  abs=1e-16)
+    for text in ("", "n_pings = 200\nsigma_j_s = 1e-12\nsigma_c_s = 2e-12\n"
+                     "delta0_s = 2e-8\ntheta_a_rad = 0.3\n"
+                     "theta_b_rad = 1.1\n"):
+        cfgp.write_text(text)
+        config = ["--config", str(cfgp)]
+        assert main(["simulate", "--out", str(epoch_csv)] + config) == 0
+        assert main(["estimate", "--out", str(direct)] + config) == 0
+        assert main(["estimate", "--in", str(epoch_csv),
+                     "--out", str(via_file)] + config) == 0
+        d, f = _kv(direct), _kv(via_file)
+        assert d["at_grid_edge"] == f["at_grid_edge"] == "0"
+        assert float(d["f_d_hat_hz"]) == float(f["f_d_hat_hz"])
+        assert abs(float(d["rho_hat_m"]) - float(f["rho_hat_m"])) < 1e-6
+        assert abs(float(d["phi_test_hat_rad"]) -
+                   float(f["phi_test_hat_rad"])) < 1e-4
+        assert abs(float(d["f_d_hat_hz"]) - 500.0) < 0.2
+        assert abs(float(d["rho_hat_m"]) - 3.0) < 0.05
+        assert float(d["t_b_hat_s"]) == pytest.approx(
+            1.0 / (1.0e8 - 187.0), abs=1e-16)
 
 
 def test_estimate_demodulates_recorded_protected_epoch(tmp_path):
@@ -881,7 +900,27 @@ def test_config_errors_exit_2(tmp_path, capsys):
              "attack_seed must be a non-negative integer, got -1"),
             ("n_pings = 200\nattack = random\nattack_n = 500\n", ["detect"],
              "attack_n must be in [1, n_pings] when attack is on, got "
-             "attack_n = 500 with n_pings = 200")):
+             "attack_n = 500 with n_pings = 200"),
+            ("grid_n_phi = 64\n", ["estimate"],
+             "line 1: unknown key 'grid_n_phi'"),
+            # detect_k <= 0 flagged every slot; a bad trim or a negative
+            # listener distance exited 1 without naming the key
+            ("n_pings = 200\nattack = random\nattack_n = 40\n"
+             "detect_k = 0\n", ["detect"], "detect_k must be positive, got 0"),
+            ("n_pings = 200\nattack = random\nattack_n = 40\n"
+             "detect_k = -1\n", ["detect"],
+             "detect_k must be positive, got -1"),
+            ("n_pings = 200\nattack = random\nattack_n = 40\n"
+             "detect_trim = 0.7\n", ["detect"],
+             "detect_trim must be in [0, 0.5), got 0.7"),
+            ("n_pings = 200\nattack = random\nattack_n = 40\n"
+             "detect_trim = -0.1\n", ["detect"],
+             "detect_trim must be in [0, 0.5), got -0.1"),
+            ("n_pings = 200\nattack = random\nattack_n = 40\n"
+             "rho_ae_m = -2\n", ["detect"],
+             "rho_ae_m must be non-negative, got -2"),
+            ("rho_be_m = -0.5\n", ["simulate"],
+             "rho_be_m must be non-negative, got -0.5")):
         cfgp.write_text(text)
         assert main(argv + ["--config", str(cfgp)]) == 2
         assert capsys.readouterr().err == f"config error: {named}\n"

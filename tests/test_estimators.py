@@ -39,10 +39,10 @@ from climex import (
 )
 from climex import estimators
 from climex.estimators import (
-    _chirp_z_mags,
+    _bluestein,
+    _bluestein_mags,
     _fast_len,
     _ladder_plan,
-    _phase_costs,
     dither_cycles,
 )
 
@@ -65,6 +65,29 @@ def resultant_mags(t, y, dphase, a, f_start, f_step, count):
         mags[k] = abs(cur.sum())
         cur *= step
     return mags
+
+
+def _chirp_z_mags(t, y, dphase, a, f_start, f_step, count, weight=None):
+    """|R(f)| on the uniform ladder f_start + f_step k, k < count, for a
+    grid t_j = tau j, as one Bluestein chirp-z transform: the coarse
+    ladder of grid_search, with a fresh ladder plan on every call.
+
+    With W = exp(-2 pi i f_step tau), R_k = sum_j x_j W^(jk) where x_j
+    carries the f_start phasor and the optional per-sample weight.
+    Writing jk = (j^2 + k^2 - (k - j)^2) / 2 turns the sum into the
+    convolution of x_j W^(j^2/2) with W^(-m^2/2), taken by FFT; the
+    leading W^(k^2/2) has unit modulus and is dropped.
+
+    The chirp angle pi c m^2, c = f_step tau, reaches pi c N^2, far past
+    the accumulated angles of a stepping loop.  Splitting c into a
+    24-bit head plus a tail keeps the angle as precise as the loop's:
+    the head's product with m^2 is exact while m^2 < 2^29 and is then
+    reduced mod 2 exactly.  Past that (m > 23170) the product rounds: at
+    N = 10^5 and tau = 10^-4 s the transform meets the loop to about
+    1e-11 N (at most 1.3e-11 of the peak on locked epochs, three seeds).
+    """
+    return _bluestein_mags(t, y, dphase, a, f_start, count, weight,
+                           *_bluestein(f_step * t[1], t.size, count))[0]
 
 
 # ----------------------------------------------------------------------
@@ -96,27 +119,11 @@ def test_model_fold_values_hand_case():
     assert np.allclose(md, [2.5e-9, 3.5e-9, 4.5e-9], atol=1e-22)
 
 
-def test_binned_phase_profile_matches_naive():
-    rng = np.random.default_rng(15)
-    a = 1.0e-8
-    for _ in range(5):
-        n = 200
-        q = rng.uniform(0.0, 1.0, n)
-        y = rng.uniform(0.0, a, n) + 4.0e-8
-        n_phi = 32
-        binned = _phase_costs(q, y, a, n_phi)
-        naive = np.array([cost_J(y, a * fold(q + k / n_phi, 1.0))
-                          for k in range(n_phi)])
-        assert np.max(np.abs(binned - naive)) < 1e-12 * np.max(naive)
-
-
 def test_search_grid_validation():
     with pytest.raises(ValueError):
         SearchGrid(f_lo=5.0, f_hi=5.0)
     with pytest.raises(ValueError):
         SearchGrid(df=-1.0)
-    with pytest.raises(ValueError):
-        SearchGrid(n_phi=0)
     with pytest.raises(ValueError):
         SearchGrid(refine=0)
     for bad in (dict(f_lo=float("nan")), dict(f_hi=float("inf")),

@@ -261,21 +261,21 @@ def _listener_fit():
 _PINNED = {
     "plain_default_epoch": (_plain_fit, {
         "f_d_hat": "0x1.f400000000000p+8",
-        "phi_hat": "0x1.e65a850b3aeb3p-5",
-        "rho_hat": "0x1.7fe82f1190fb9p+1",
-        "cost": "0x1.aacae6ac70490p-43",
+        "phi_hat": "0x1.e659a37a3b423p-5",
+        "rho_hat": "0x1.7fe82fe8d13f1p+1",
+        "cost": "0x1.aacae6ac70495p-43",
         "at_grid_edge": False}, None),
     "climex_with_replayed_dither": (_dithered_fit, {
         "f_d_hat": "0x1.f400000000000p+8",
-        "phi_hat": "0x1.74a0fb6333025p-8",
-        "rho_hat": "0x1.800c144614abap+1",
-        "cost": "0x1.ff9219422a397p-41",
+        "phi_hat": "0x1.75767513a789ep-8",
+        "rho_hat": "0x1.800bd49d0c2f2p+1",
+        "cost": "0x1.ff9219422a392p-41",
         "at_grid_edge": False}, None),
     "oracle_attack_robust_refit": (_oracle_attack_refit, {
         "f_d_hat": "0x1.f400000000000p+8",
-        "phi_hat": "0x1.83ac2b26b2812p+2",
-        "rho_hat": "0x1.86c2044c31f9ap+1",
-        "cost": "0x1.dd591cea00420p-70",
+        "phi_hat": "0x1.88121d887d13cp+2",
+        "rho_hat": "0x1.84a8c9e8820ffp+1",
+        "cost": "0x1.dd591ce9ffa9dp-70",
         "at_grid_edge": False}, [29, 56, 62, 70, 85, 93, 135, 145, 153, 197]),
     "listener_on_a_slope_comb": (_listener_fit, {
         "t_m_hat": "0x1.a36dd8a827286p-14",
@@ -283,8 +283,8 @@ _PINNED = {
         "f_a_hat": "0x1.7d788e403dce4p+26",
         "f_b_hat": "0x1.7d7811403dce4p+26",
         "t_b_hat": "0x1.5799183ea72b1p-27",
-        "phi_hat": "0x1.3ec9fce2ef7b3p-5",
-        "cost": "0x1.a3488f8f820e4p-43"}, None),
+        "phi_hat": "0x1.3ec71c5b7adbcp-5",
+        "cost": "0x1.a3488f8f820eap-43"}, None),
 }
 
 
