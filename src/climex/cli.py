@@ -59,17 +59,9 @@ _WRITE_CHUNK = 2048
 
 _ASCII_DIGITS = frozenset("0123456789")
 
-# For the decimal exponents e = -32..34 (i = e + 32): 10^(12 - e) as the
-# exact factors _SCALE_UP[i] * _SCALE_UP2[i] / _SCALE_DOWN[i], each at
-# most 10^22 and all but one of them 1 for e >= -10, and the bound on
-# |M - rint(M)| under which the rounded M = |x| * 10^(12 - e) is trusted
-# (see _write_table)
-_SCALE_UP = np.array([float(10 ** min(max(12 - e, 0), 22))
-                      for e in range(-32, 35)])
-_SCALE_UP2 = np.array([float(10 ** max(-10 - e, 0)) for e in range(-32, 35)])
-_SCALE_DOWN = np.array([float(10 ** max(e - 12, 0)) for e in range(-32, 35)])
-_HALF_LIMIT = np.array([0.5 - 2.0 ** -8 if e < -10 else 0.5
-                        for e in range(-32, 35)])
+# 10^(12 - e) for the decimal exponents e = -10..12 (i = e + 10): the
+# powers of ten up to 10^22, each exact in float64
+_SCALE = np.array([float(10 ** (12 - e)) for e in range(-10, 13)])
 
 
 def _digit_words() -> np.ndarray:
@@ -88,12 +80,10 @@ def _digit_words() -> np.ndarray:
 
 _DIGIT_WORDS = _digit_words()
 
-# "e+dd" or "e-dd" as word e + 32, for the exponents e = -32..35 a
+# "e+dd" or "e-dd" as word e + 10, for the exponents e = -10..12 a
 # fast-path cell prints
-_EXP_WORDS = np.frombuffer(b"".join(b"e%+03d" % e for e in range(-32, 36)),
+_EXP_WORDS = np.frombuffer(b"".join(b"e%+03d" % e for e in range(-10, 13)),
                            dtype=np.uint32)
-
-_INT64_MIN = np.iinfo(np.int64).min
 
 
 def _fmt(x) -> str:
@@ -116,20 +106,15 @@ def _write_lines(lines, out_path) -> None:
 
 def _float_cells(x: np.ndarray):
     """``_FLOAT % v`` for the float64 array ``x``: a uint8 array of one
-    fixed-width cell per value, with a sign byte (NUL for a positive
-    value) only if some value is negative, and the mask of the cells it
-    leaves to the ``%`` format, whose bytes it does not set."""
-    a = np.abs(x)
+    fixed-width cell per value, and the mask of the cells it leaves to
+    the ``%`` format, whose bytes it does not set."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        # floor(log10 |x|), clipped to the scale tables
-        e = np.fmax(np.fmin(np.floor(np.log10(a)), 34.0), -32.0)
-        i = e.astype(np.int64) + 32
-        m = a * _SCALE_UP[i] * _SCALE_UP2[i] / _SCALE_DOWN[i]
+        # floor(log10 x), clipped to the scale table
+        e = np.fmax(np.fmin(np.floor(np.log10(x)), 12.0), -10.0)
+        i = e.astype(np.int64) + 10
+        m = x * _SCALE[i]
         n = np.rint(m)
-        ok = (np.abs(m - n) < _HALF_LIMIT[i]) & (m >= 1e12) & (n <= 1e13)
-    top = n == 1e13
-    n[top] = 1e12
-    i += top
+        ok = (m >= 1e12) & (n < 1e13) & (np.abs(m - n) < 0.5)
     n[~ok] = 0.0
     q = n.astype(np.int64)
     lead = q // 10 ** 12
@@ -143,27 +128,21 @@ def _float_cells(x: np.ndarray):
     words[:, 1] = _DIGIT_WORDS[mid]
     words[:, 2] = _DIGIT_WORDS[q]
     words[:, 3] = _EXP_WORDS[i]
-    neg = np.signbit(x)
-    s = int(neg.any())
-    cells = np.empty((x.size, s + 18), dtype=np.uint8)
-    if s:
-        cells[:, 0] = neg * ord("-")
-    cells[:, s] = lead + ord("0")
-    cells[:, s + 1] = ord(".")
-    cells[:, s + 2:] = words.view(np.uint8)
+    cells = np.empty((x.size, 18), dtype=np.uint8)
+    cells[:, 0] = lead + ord("0")
+    cells[:, 1] = ord(".")
+    cells[:, 2:] = words.view(np.uint8)
     return cells, ~ok
 
 
 def _int_cells(v: np.ndarray):
     """``"%d" % v`` for the int64 or bool array ``v``: a uint8 array of
-    one fixed-width cell per value, with a sign byte only if some value
-    is negative and leading zeros as NUL, and the mask of the cells left
-    to the ``%`` format: -2^63, whose magnitude int64 cannot hold."""
+    one fixed-width cell per value, leading zeros as NUL, and the mask
+    of the cells left to the ``%`` format: the negative ones."""
     if v.dtype == bool:
         return (v.view(np.uint8) + ord("0"))[:, None], np.zeros(v.size, bool)
-    bad = v == _INT64_MIN
-    u = np.abs(v)
-    u[bad] = 0
+    neg = v < 0
+    u = np.where(neg, 0, v)
     width = len(str(int(u.max()))) if u.size else 1
     groups = (width + 3) // 4
     words = np.empty((v.size, groups), dtype=np.uint32)
@@ -174,13 +153,7 @@ def _int_cells(v: np.ndarray):
         bare = (above == 0) * (2 * 10 ** 4 if j == groups - 1 else 10 ** 4)
         words[:, j] = _DIGIT_WORDS[u - above * 10 ** 4 + bare]
         u = above
-    neg = v < 0
-    s = int(neg.any())
-    cells = np.empty((v.size, s + width), dtype=np.uint8)
-    if s:
-        cells[:, 0] = neg * ord("-")
-    cells[:, s:] = words.view(np.uint8)[:, 4 * groups - width:]
-    return cells, bad
+    return words.view(np.uint8)[:, 4 * groups - width:], neg
 
 
 def _int_column(column) -> np.ndarray:
@@ -235,26 +208,24 @@ def _write_table(header_lines, cell_formats, columns, out_path) -> None:
     fixed-width byte field padded with NUL, and the NULs are dropped once
     per chunk.  Why the bytes are the ``%`` format's:
 
-    - A float x.  Let e be floor(log10 |x|) clipped to [-32, 34], and
-      t = |x| * 10^(12 - e) exactly.  M is |x| multiplied or divided by
-      exact powers of ten up to 10^22: one correctly rounded operation
-      for e >= -10, two below.  The cell is taken from N = rint(M) when
-      10^12 <= M, N <= 10^13 and |M - N| < 1/2 (one rounding) or
-      < 1/2 - 2^-8 (two).  Then t rounds to N as well: one rounding is
-      monotonic and every D + 1/2 below 2^52 is a float, so M < D + 1/2
-      gives t < D + 1/2; two leave |M - t| <= 2^-52 M < 0.0023.  So t
-      lies in (10^12 - 0.003, 10^13 + 1/2), and ``%.12e`` prints the
-      digits of N (split exactly from int64) with exponent e, or
-      1.000000000000 with e + 1 for N = 10^13.  Where t is just below
-      10^12, or at least 10^13, the exponent one off prints that same
-      text; nothing rests on log10 being exact, since an estimate a
-      decade off only sends cells to the fallback.
-    - An int64 prints its magnitude's digits, a bool 0 or 1.
+    - A float x > 0.  Let e be floor(log10 x) clipped to [-10, 12], and
+      t = x * 10^(12 - e) exactly.  The power is exact in float64, so M,
+      x times it, is t correctly rounded.  The cell is taken from
+      N = rint(M) when 10^12 <= M, N < 10^13 and |M - N| < 1/2.  Then t
+      rounds to N as well: rounding is monotonic and every D + 1/2 below
+      2^52 is a float, so M < D + 1/2 gives t < D + 1/2, and likewise
+      from below.  So t < 10^13 - 1/2, and ``%.12e`` prints the digits of
+      N (split exactly from int64) with exponent e.  t is below 10^12
+      only when M = 10^12, within 2^-14 of it, where the exponent e - 1
+      prints that same text.  Nothing rests on log10 being exact: an
+      estimate a decade off gives M >= 10^13, or M below 10^12 unless
+      it rounds up to 10^12, the case just named.
+    - A non-negative int64 prints its digits, a bool 0 or 1.
 
     Every other cell is written by the ``%`` format, in one call per
-    column chunk: nan, +-inf, 0.0 and -0.0, subnormals, |x| outside
-    [1e-32, 1e35), the rare M near a half, -2^63, and columns of Python
-    ints past int64.
+    column chunk: negative numbers, 0.0, nan, +-inf, x outside
+    [1e-10, 1e13), the rare M near a half or rounding to 10^13, and
+    columns of Python ints past int64.
     """
     columns = [_int_column(c) if fmt == "%d" else np.asarray(c, dtype=float)
                for c, fmt in zip(columns, cell_formats)]

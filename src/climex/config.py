@@ -22,7 +22,12 @@ from .signal_model import (
     NoiseParams,
     ProtocolConstants,
 )
-from .protocol_sim import CausalityError, DitherSpec, ScenarioConfig
+from .protocol_sim import (
+    CausalityError,
+    DitherSpec,
+    ScenarioConfig,
+    ping_decimation,
+)
 
 __all__ = ["ConfigError", "DEFAULTS", "parse_config_text", "load_config",
            "RunSetup", "build_setup"]
@@ -59,6 +64,9 @@ DEFAULTS: dict = {
     "grid_f_hi_hz": 1000.0,
     "grid_df_hz": 1.0,
     "grid_refine": 10,
+    # the check time after the epoch timestamp: the predicted phase error
+    # grows linearly in t_test - t_prime through the counterpart-frequency
+    # error, so the check sits within a second of the epoch
     "t_test_offset_s": 0.25,
     # detection / injection
     "detect_k": 4.0,
@@ -66,8 +74,7 @@ DEFAULTS: dict = {
     "attack": "none",
     "attack_n": 0,
     "attack_seed": 777,
-    # secrecy budget
-    "budget_f0_hz": 1.0e8,
+    # secrecy budget, over the offset lottery around f0_hz
     "budget_ppm": 10.0,
     "budget_f_step_hz": 1.0,
     "budget_fd_min_hz": 2.0,
@@ -198,7 +205,7 @@ def build_setup(cfg: dict) -> RunSetup:
         grid = SearchGrid(f_lo=cfg["grid_f_lo_hz"], f_hi=cfg["grid_f_hi_hz"],
                           df=cfg["grid_df_hz"], refine=cfg["grid_refine"])
         binputs = BudgetInputs(
-            f0_hz=cfg["budget_f0_hz"], ppm=cfg["budget_ppm"],
+            f0_hz=cfg["f0_hz"], ppm=cfg["budget_ppm"],
             f_step_hz=cfg["budget_f_step_hz"],
             f_d_min_hz=cfg["budget_fd_min_hz"],
             f_d_max_hz=cfg["budget_fd_max_hz"],
@@ -207,6 +214,11 @@ def build_setup(cfg: dict) -> RunSetup:
             rho_step_m=cfg["budget_rho_step_m"])
     except (ValueError, CausalityError) as exc:
         raise ConfigError(str(exc)) from None
+    try:
+        ping_decimation(scenario.t_m, consts)
+    except ValueError as exc:
+        raise ConfigError(f"{exc}: tm_s = {cfg['tm_s']:g}, "
+                          f"f0_hz = {cfg['f0_hz']:g}") from None
     # on the uniform grid t_m j the resultant repeats with period 1 / t_m
     # in f, so a grid that wide holds exact alias ties
     if grid.f_hi - grid.f_lo >= 1.0 / scenario.t_m:

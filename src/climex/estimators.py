@@ -81,7 +81,6 @@ __all__ = [
     "SearchGrid",
     "ParamEstimate",
     "CounterpartEstimate",
-    "DEFAULT_T_TEST_OFFSET",
     "cost_J",
     "model_fold_values",
     "dither_cycles",
@@ -92,14 +91,6 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * np.pi
-
-DEFAULT_T_TEST_OFFSET = 0.25
-"""Default check-time placement after the epoch timestamp, seconds.
-
-Predicted phase error grows linearly in (t_test - t_prime) through the
-counterpart-frequency error, so the check point should sit within a
-second of the epoch it was estimated from.
-"""
 
 
 @dataclass(frozen=True)
@@ -528,7 +519,7 @@ def predict_phi_test(est: ParamEstimate, own_f_hz: float, t_prime: float,
 def complete_estimate(epoch: MeasurementEpoch, own_f_hz: float,
                       consts: ProtocolConstants, *, grid: SearchGrid | None = None,
                       amplitude: float | None = None, delta_vec=None,
-                      t_test: float | None = None) -> CounterpartEstimate:
+                      t_test: float) -> CounterpartEstimate:
     """Grid search plus everything derived from it, in one call.
 
     Works on an epoch the caller collected itself, so the returned beat
@@ -537,8 +528,6 @@ def complete_estimate(epoch: MeasurementEpoch, own_f_hz: float,
     """
     est = grid_search(epoch, consts, amplitude=amplitude, grid=grid,
                       delta_vec=delta_vec)
-    if t_test is None:
-        t_test = epoch.t_prime + DEFAULT_T_TEST_OFFSET
     phi_test = predict_phi_test(est, own_f_hz, epoch.t_prime, t_test, consts)
     f_cp = own_f_hz - est.f_d_hat
     return CounterpartEstimate(estimate=est, f_counterpart_hz=f_cp,

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from climex import SweepRow, budget
+from climex import SweepRow, budget, derive_key
 from climex import cli
 from climex.cli import main
 from climex.config import (
@@ -135,6 +135,20 @@ def test_budget_command_reports_the_budget(tmp_path):
     assert got["bits_total_rounded"] == "38"
     assert float(got["log2_total_exact"]) == pytest.approx(rep.log2_total,
                                                            abs=1e-6)
+
+
+def test_budget_follows_the_base_frequency(tmp_path):
+    # the lottery is budget_ppm of f0_hz: 10 ppm of 2e8 Hz is 2001 offsets
+    # at 1 Hz, and the setup's own clocks lie inside it and derive a key
+    cfgp = tmp_path / "run.cfg"
+    cfgp.write_text("f0_hz = 2e8\n")
+    out = tmp_path / "budget.txt"
+    assert main(["budget", "--config", str(cfgp), "--out", str(out)]) == 0
+    assert _kv(out)["n_freq_values"] == "2001"
+    setup = build_setup(load_config(str(cfgp)))
+    key = derive_key(setup.initiator.f_hz, setup.responder.f_hz, 1.0,
+                     setup.scenario.rho_ab, setup.budget_inputs)
+    assert len(key) == budget(setup.budget_inputs).bits_total_floor
 
 
 def test_simulate_output_shape_and_determinism(tmp_path):
@@ -473,8 +487,8 @@ def _decade_edges(exp):
             + _near_halves(10 ** 13 - 1, exp - 1))
 
 
-# the fast path's exponents run from -32 to 34 (35 after a decade bump);
-# below -10 it rounds twice
+# the fast path's exponents run from -10 to 12; the exponents past them
+# on either side go to the % format
 _FAST_EXPS = range(-36, 38)
 
 _INT64_EDGES = [2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, 2 ** 63 - 1, 10 ** 16,
@@ -492,10 +506,10 @@ _PAST_INT64 = [2 ** 63, -2 ** 63 - 1, 2 ** 64, -10 ** 30]
 def test_cell_formatter_is_the_percent_format_bit_for_bit(
         tmp_path_factory, seed, x, digits, exp, i, big):
     # every float cell as _FLOAT % v and every int cell as "%d" % v: the
-    # fast path's digits and exponents, its decade bump, its near-half
-    # cells after one rounding and after two, and each cell it leaves to
-    # the % format (zeros, nan, inf, subnormals, |e| >= 100, -2^63, ints
-    # past int64)
+    # fast path's digits and exponents, its decade edges and near-half
+    # cells, and each cell it leaves to the % format (negatives, zeros,
+    # nan, inf, subnormals, exponents outside -10..12, M near a half or
+    # rounding to 10^13, ints past int64)
     if seed is None:
         # every decade edge and near half at the ends of each exponent
         floats = [v for e in _FAST_EXPS for v in
@@ -537,8 +551,8 @@ def test_cell_formatter_is_the_percent_format_bit_for_bit(
 def test_cell_formatter_holds_with_an_exponent_estimate_one_off(
         tmp_path, monkeypatch, shift):
     # the fast path vouches for a cell only while M lands in
-    # [10^12, 10^13], so an exponent estimate a decade off sends a cell
-    # to the fallback or to the decade bump, never to wrong digits
+    # [10^12, 10^13), so an exponent estimate a decade off sends a cell
+    # to the fallback or to M = 10^12 from below, never to wrong digits
     log10 = np.log10
     monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
     floats = [v for e in _FAST_EXPS for v in _decade_edges(e)]
@@ -576,9 +590,29 @@ def test_simulate_csv_matches_per_row_writer(tmp_path, monkeypatch, n_pings):
     assert out.read_text() == _oracle_simulate_text(setup, epochs[0][0])
 
 
+@pytest.mark.parametrize("protocol", ["rtt", "climex"])
+def test_default_epoch_cells_take_the_fast_path(tmp_path, monkeypatch,
+                                                protocol):
+    # the byte-identity tests cannot see a cell drift to the slower %
+    # format: the default 10^4-ping epoch leaves it no index cell and at
+    # most 20 of its 2 * 10^4 time and rtt cells (8 under rtt at seed
+    # 12345: the cell t = 0 and seven M near a half)
+    cfgp = tmp_path / "run.cfg"
+    cfgp.write_text(f"protocol = {protocol}\n")
+    ints = _recording(monkeypatch, "_int_cells")
+    floats = _recording(monkeypatch, "_float_cells")
+    assert main(["simulate", "--config", str(cfgp), "--out",
+                 str(tmp_path / "epoch.csv")]) == 0
+    assert sum(left.size for _, left in ints) == 10000
+    assert sum(int(left.sum()) for _, left in ints) == 0
+    assert sum(left.size for _, left in floats) == 20000
+    assert sum(int(left.sum()) for _, left in floats) <= 20
+
+
 def test_residual_csv_matches_per_row_writer(tmp_path, monkeypatch):
-    # ps noise puts the residuals near 1e-11, where the fast path rounds
-    # twice; ns noise near 1e-9, where it rounds once, over two chunks
+    # ps noise puts the residuals near 1e-11, below the fast path's
+    # exponents; ns noise near 1e-9, inside them, over two chunks; the
+    # negative residuals of both go to the % format
     cfgp = tmp_path / "attack.cfg"
     for text in ("n_pings = 200\nattack = random\nattack_n = 40\n"
                  "rho_ae_m = 3.5\nsigma_j_s = 1e-12\nsigma_c_s = 2e-12\n"
@@ -903,6 +937,16 @@ def test_config_errors_exit_2(tmp_path, capsys):
              "attack_n = 500 with n_pings = 200"),
             ("grid_n_phi = 64\n", ["estimate"],
              "line 1: unknown key 'grid_n_phi'"),
+            # the budget's lottery is around f0_hz, not a key of its own
+            ("budget_f0_hz = 2e8\n", ["budget"],
+             "line 1: unknown key 'budget_f0_hz'"),
+            # a ping interval under one clock period exited 1 unnamed
+            ("tm_s = 1e-9\n", ["simulate"],
+             "ping interval shorter than one clock period: tm_s = 1e-09, "
+             "f0_hz = 1e+08"),
+            ("f0_hz = 1e3\n", ["estimate"],
+             "ping interval shorter than one clock period: tm_s = 0.0001, "
+             "f0_hz = 1000"),
             # detect_k <= 0 flagged every slot; a bad trim or a negative
             # listener distance exited 1 without naming the key
             ("n_pings = 200\nattack = random\nattack_n = 40\n"
