@@ -32,7 +32,7 @@ from .protocol_sim import (
     replay_dither,
     run_exchange,
 )
-from .secrecy import KeyRangeError, budget
+from .secrecy import KeyRangeError, budget, count_valid_pairs_formula
 from .signal_model import MeasurementEpoch
 from .sweep import log_spaced_values, run_sweep
 
@@ -477,7 +477,17 @@ def cmd_sweep(args) -> int:
 
 def cmd_budget(args) -> int:
     setup = _setup_from_args(args)
-    rep = budget(setup.budget_inputs)
+    b = setup.budget_inputs
+    if count_valid_pairs_formula(b) < 1:
+        # a run needs no budget, so build_setup takes such a config (say
+        # f0_hz = 1e5, where 10 ppm is a 1 Hz lottery)
+        raise ConfigError(
+            f"no valid frequency pairs: f0_hz = {b.f0_hz:g} and budget_ppm "
+            f"= {b.ppm:g} give a {2.0 * b.half_span_hz:g} Hz offset lottery "
+            f"with no beat in [budget_fd_min_hz, budget_fd_max_hz] = "
+            f"[{b.f_d_min_hz:g}, {b.f_d_max_hz:g}] on the budget_f_step_hz "
+            f"= {b.f_step_hz:g} lattice")
+    rep = budget(b)
     lines = [
         f"n_freq_values = {rep.n_freq}",
         f"pair_count_exact = {rep.pair_count}",

@@ -172,6 +172,12 @@ class RunSetup:
     attack_seed: int
 
 
+# the keys behind BudgetInputs' positive fields
+_BUDGET_POSITIVE = ("f0_hz", "budget_ppm", "budget_f_step_hz",
+                    "budget_phi_step_rad", "budget_rho_max_m",
+                    "budget_rho_step_m")
+
+
 def build_setup(cfg: dict) -> RunSetup:
     """Validate and assemble a full run setup from a config dict."""
     for key in ("seed", "attack_seed"):
@@ -204,6 +210,9 @@ def build_setup(cfg: dict) -> RunSetup:
         noise = NoiseParams(sigma_j=cfg["sigma_j_s"], sigma_c=cfg["sigma_c_s"])
         grid = SearchGrid(f_lo=cfg["grid_f_lo_hz"], f_hi=cfg["grid_f_hi_hz"],
                           df=cfg["grid_df_hz"], refine=cfg["grid_refine"])
+    except (ValueError, CausalityError) as exc:
+        raise ConfigError(str(exc)) from None
+    try:
         binputs = BudgetInputs(
             f0_hz=cfg["f0_hz"], ppm=cfg["budget_ppm"],
             f_step_hz=cfg["budget_f_step_hz"],
@@ -212,8 +221,12 @@ def build_setup(cfg: dict) -> RunSetup:
             phi_step_rad=cfg["budget_phi_step_rad"],
             rho_max_m=cfg["budget_rho_max_m"],
             rho_step_m=cfg["budget_rho_step_m"])
-    except (ValueError, CausalityError) as exc:
-        raise ConfigError(str(exc)) from None
+    except ValueError as exc:
+        # BudgetInputs checks positivity first, then the beat window
+        keys = ([k for k in _BUDGET_POSITIVE if not cfg[k] > 0.0]
+                or ["budget_fd_min_hz", "budget_fd_max_hz"])
+        raise ConfigError(f"{exc}: " + ", ".join(
+            f"{k} = {cfg[k]:g}" for k in keys)) from None
     try:
         ping_decimation(scenario.t_m, consts)
     except ValueError as exc:

@@ -24,14 +24,29 @@ floor, so the stage estimates f alone.
 
 Every epoch sits on the ping comb t_j = t_m j, so the coarse ladder
 f_lo + df k is a chirp-z transform of the sample phasors (Rabiner,
-Schafer and Rader 1969), computed by Bluestein's FFT convolution in
-O((N + K) log(N + K)) instead of N K.  The convolution is padded to
-L = the smallest 11-smooth integer >= N + K - 1 (12 000 for the default
-10^4 pings and 2001 frequencies, where a power of two would take
-16 384), the lengths pocketfft transforms without a generic prime pass.
+Schafer and Rader 1969), taken one of two ways:
+
+* On a DFT-aligned comb, df t_m = 1 / M for a whole M with N <= M <= L
+  (see :func:`_dft_len` for the slip bound), the transform is the DFT
+  itself: the ladder is bins 0 .. K - 1 of one length-M FFT of the
+  phasors, zero-padded.  The default comb (t_m = 100 us, df = 1 Hz,
+  10^4 pings) is one, with M = 10^4.
+* Any other comb, such as the listener's least-squares slope or the
+  200-ping detection comb (M = 10^4 > L = 2200), takes Bluestein's FFT
+  convolution in O((N + K) log(N + K)) instead of N K, padded to L =
+  the smallest 11-smooth integer >= N + K - 1 (12 000 for 10^4 pings
+  and 2001 frequencies, where a power of two would take 16 384), the
+  lengths pocketfft transforms without a generic prime pass.
+
 A masked refit keeps the full comb and gives dropped samples zero
 weight.  On the comb R(f) repeats with period 1 / t_m, so a coarse
 ladder spanning a full period holds exact alias ties and is refused.
+
+The sample phasors p0 are built without a complex exp: the phase is
+reduced exactly to the nearest whole cycle, then looked up in a
+2048-entry unit-circle table and finished by a short Taylor step (see
+:func:`_unit_phasors`), within 3e-15 of the exp at about a third of
+its cost.
 
 The short refine ladder around the coarse pick steps a running phasor.
 It starts from the coarse ladder's own sample phasors, moved to the
@@ -39,22 +54,24 @@ window's first frequency by a running product [1, z, z^2, ...] along
 the comb, and each step multiplies by the plan's step phasor, itself a
 running product; no complex exp is taken over the comb for either.
 
-The coarse and refine magnitudes feed nothing but two argmax calls, so
-their rounding matters only where two candidates tie to within it; a
-test holds the picks equal to a stepping loop from fresh exps.  The
+The rule that keeps the outputs exact: p0 and everything built from it
+(the coarse and refine magnitudes) feed nothing but two argmax calls,
+so their rounding matters only where two candidates tie to within it;
+a test holds the picks equal to a stepping loop from fresh exps.  The
 continuous outputs are another matter: phi, rho and the noise readback
 come from :func:`_circular_level` and the readout at the picked
 frequency, whose rounding reaches the printed fit, so that path keeps
-its exact expressions and the outputs stay bit for bit the same.
+its exact expressions (a complex exp, not the table) and the outputs
+stay bit for bit the same.
 
-The Bluestein chirp, the kernel's spectrum and the refine step phasor
-depend only on the comb and the grid, (t_m, N, df, K, df / refine), not
-on the samples.  A fit takes them from a small memo, the ladder plan,
-which keeps the two most recently used keys (enough for the 10^4-ping
-estimate comb and the 200-ping detection comb); a masked refit indexes
-the refine phasor with its mask.  The arrays are built by the same
-expressions either way, so a fit is bit for bit the same from a fresh
-or a reused plan.
+The choice of ladder, the Bluestein chirp, the kernel's spectrum and
+the refine step phasor depend only on the comb and the grid, (t_m, N,
+df, K, df / refine), not on the samples.  A fit takes them from a small
+memo, the ladder plan, which keeps the two most recently used keys
+(enough for the 10^4-ping estimate comb and the 200-ping detection
+comb); a masked refit indexes the refine phasor with its mask.  The
+arrays are built by the same expressions either way, so a fit is bit
+for bit the same from a fresh or a reused plan.
 
 Phase stage.  At the selected frequency the resultant angle xi of the
 sample phasors locates the epoch's constant level on the fold circle,
@@ -342,32 +359,128 @@ def _bluestein(c, n, count):
     return chirp[:n].conj(), np.fft.fft(kern, out=kern)
 
 
-def _bluestein_mags(t, y, dphase, a, f_start, count, weight, chirp,
-                    kernel_hat):
-    """|R_k| from the sample phasors and the arrays of :func:`_bluestein`,
-    and the unweighted sample phasors p0 = exp(2 pi i (y / a - dphase -
-    f_start t)), which start the refine window."""
-    n = t.size
-    # p0 by the expression's own operations, in place: one complex
-    # array fewer at the peak
-    ang = y / a
-    ang -= dphase
-    ang -= f_start * t
-    p0 = np.multiply(1j * _TWO_PI, ang)
-    del ang
-    np.exp(p0, out=p0)
+def _bluestein_mags(p0, weight, count, chirp, kernel_hat):
+    """|R_k| from the sample phasors p0 (times the optional per-sample
+    weight) and the arrays of :func:`_bluestein`."""
+    n = p0.size
     x = np.zeros(kernel_hat.size, dtype=complex)
     np.multiply(p0, chirp, out=x[:n])
     if weight is not None:
         x[:n] *= weight
     x = np.fft.fft(x, out=x)                   # in place: one buffer only
     x *= kernel_hat
-    return np.abs(np.fft.ifft(x, out=x)[:count]), p0
+    return np.abs(np.fft.ifft(x, out=x)[:count])
+
+
+def _fft_mags(p0, weight, count, size):
+    """|R_k| on a DFT-aligned comb, df t_m = 1 / size: bins 0 .. count - 1
+    of the length-size DFT of the sample phasors p0 (times the optional
+    per-sample weight), zero-padded from n <= size."""
+    n = p0.size
+    x = np.zeros(size, dtype=complex)
+    if weight is None:
+        x[:n] = p0
+    else:
+        np.multiply(p0, weight, out=x[:n])
+    x = np.fft.fft(x, out=x)
+    return np.abs(x[:count])
+
+
+# the most a DFT-aligned ladder may slip against the exact one over the
+# whole epoch, in cycles (see _dft_len)
+_ALIGN_SLIP = 1e-12
+
+
+def _dft_len(c, n, count):
+    """The DFT length M that the ladder W = exp(-2 pi i c) over n samples
+    and count frequencies is bins 0 .. count - 1 of, or None.
+
+    The comb is DFT-aligned when M = round(1 / c) is within the slip
+    bound of 1 / c: the ladder's worst phase slip against the DFT's,
+    (count - 1)(n - 1) |c - 1 / M| cycles, is at most _ALIGN_SLIP =
+    1e-12, which moves a magnitude by at most 2 pi 1e-12 n, below the
+    Bluestein path's own rounding at 10^5 pings (~1e-11 n).  The
+    transform must also be no longer than the Bluestein length L
+    (n <= M <= L) and 11-smooth: a prime M takes pocketfft's own, slower
+    chirp-z pass.  The default comb (t_m = 100 us, df = 1 Hz, 10^4
+    pings) is aligned with M = 10^4 and no slip at all; the listener's
+    slope comb and the 200-ping detection comb are not.
+    """
+    size = _fast_len(n + count - 1)
+    if c * (size + 1) < 1.0:       # M past L (and 1 / c perhaps not finite)
+        return None
+    m = round(1.0 / c)
+    if ((count - 1) * (n - 1) * abs(c - 1.0 / m) <= _ALIGN_SLIP
+            and n <= m <= size and _fast_len(m) == m):
+        return m
+    return None
+
+
+# exp(2 pi i k / 2048), k = 0 .. 2047: the unit-circle table of
+# _unit_phasors (32 KB), and the Taylor coefficients of its step in
+# table cells d, th = 2 pi d / 2048
+_TABLE_SIZE = 1 << 11
+_UNIT_TABLE = np.exp((1j * _TWO_PI / _TABLE_SIZE) * np.arange(_TABLE_SIZE))
+_UNIT_TABLE.flags.writeable = False
+_CELL = _TWO_PI / _TABLE_SIZE
+_COS2, _COS4 = _CELL ** 2 / 2.0, _CELL ** 4 / 24.0
+_SIN3 = _CELL ** 3 / 6.0
+
+
+def _unit_phasors(x):
+    """exp(2 pi i x) for a float array x, without a complex exp; x is not
+    written.
+
+    Three steps.  r = x - rint(x) is exact and in [-1/2, 1/2] (rint(x) is
+    0 or within a factor of two of x, Sterbenz's lemma; r = 0 once
+    |x| >= 2^52).  Scaled by 2048 (exact), r splits as k + d with k =
+    rint(2048 r) and |d| <= 1/2, again exactly; the table gives
+    exp(2 pi i k / 2048), and exp(i th), th = 2 pi d / 2048, |th| <=
+    1.6e-3, is the Taylor step 1 - th^2/2 + th^4/24 + i (th - th^3/6),
+    whose truncation is below th^5 / 120 < 8e-17.  The table entries,
+    the step and the product each round by a few 1e-16, so the result is
+    within 3e-15 of np.exp(2j * pi * (x - rint(x))).
+
+    That error is far below the noise contrast of any ladder, and the
+    phasors feed only argmax calls (see the module docstring).  Costs
+    about a third of the complex exp on 10^4 samples, and holds two
+    real and two complex arrays of x's length at its peak.
+    """
+    d = np.rint(x)
+    np.subtract(x, d, out=d)
+    d *= _TABLE_SIZE
+    d2 = np.rint(d)
+    d -= d2
+    # a negative k counts from the end of the table, as it should
+    p = _UNIT_TABLE.take(d2.astype(np.int64))
+    np.multiply(d, d, out=d2)
+    step = np.empty(d.size, dtype=complex)
+    cos, sin = step.real, step.imag
+    np.multiply(d2, _COS4, out=cos)
+    cos -= _COS2
+    cos *= d2
+    cos += 1.0
+    d2 *= -_SIN3
+    d2 += _CELL
+    np.multiply(d2, d, out=sin)
+    p *= step
+    return p
+
+
+def _sample_phasors(t, y, dphase, a, f_start):
+    """The unweighted sample phasors p0 = exp(2 pi i (y / a - dphase -
+    f_start t)), which feed the coarse ladder and start the refine
+    window."""
+    ang = y / a
+    ang -= dphase
+    ang -= f_start * t
+    return _unit_phasors(ang)
 
 
 class _LadderPlan(NamedTuple):
-    chirp: np.ndarray          # conjugate Bluestein chirp on the n pings
-    kernel_hat: np.ndarray     # FFT of the Bluestein kernel, length L
+    dft_len: int | None        # M on a DFT-aligned comb, else None
+    chirp: np.ndarray | None   # conjugate Bluestein chirp on the n pings
+    kernel_hat: np.ndarray | None  # FFT of the Bluestein kernel, length L
     refine_step: np.ndarray    # exp(-2 pi i (df / refine) t) on the comb
 
 
@@ -376,16 +489,21 @@ def _ladder_plan(t_m, n, df, n_coarse, refine_step) -> _LadderPlan:
     """The arrays of a fit that depend only on the ping comb and the
     grid, built once per (t_m, n, df, n_coarse, refine_step).
 
-    Two entries hold the two combs one process fits (10^4 pings for
-    estimates and sweeps, 200 for detection); a comb whose t_m is itself
-    an estimate (the listener's slope) misses and pays today's cost.
-    The arrays are shared by every caller, so they are read-only.
+    A DFT-aligned comb (see :func:`_dft_len`) holds its length M and no
+    chirp or kernel; any other holds the Bluestein arrays.  Two entries
+    hold the two combs one process fits (10^4 pings for estimates and
+    sweeps, 200 for detection); a comb whose t_m is itself an estimate
+    (the listener's slope) misses and pays today's cost.  The arrays are
+    shared by every caller, so they are read-only.
     """
-    chirp, kernel_hat = _bluestein(df * t_m, n, n_coarse)
-    plan = _LadderPlan(chirp, kernel_hat, _geometric(
+    m = _dft_len(df * t_m, n, n_coarse)
+    chirp, kernel_hat = ((None, None) if m is not None
+                         else _bluestein(df * t_m, n, n_coarse))
+    plan = _LadderPlan(m, chirp, kernel_hat, _geometric(
         np.exp(-1j * _TWO_PI * refine_step * t_m), n))
-    for arr in plan:
-        arr.flags.writeable = False
+    for arr in plan[1:]:
+        if arr is not None:
+            arr.flags.writeable = False
     return plan
 
 
@@ -409,9 +527,10 @@ def grid_search(epoch: MeasurementEpoch, consts: ProtocolConstants, *,
     sample_mask : boolean array, optional
         Restrict the fit to a subset of pings.
 
-    The coarse ladder is one chirp-z transform on the epoch's ping comb
-    (a mask gives dropped pings zero weight); the refine window steps a
-    running phasor.  See the module docstring.
+    The coarse ladder is one FFT on a DFT-aligned ping comb and one
+    Bluestein chirp-z transform on any other (a mask gives dropped pings
+    zero weight); the refine window steps a running phasor.  See the
+    module docstring.
 
     Raises ValueError with fewer than two usable samples, or when the
     coarse ladder spans the alias period 1 / t_m.
@@ -435,8 +554,12 @@ def grid_search(epoch: MeasurementEpoch, consts: ProtocolConstants, *,
             f"below the alias period 1 / t_m = {1.0 / epoch.t_m:g} Hz")
     step = grid.df / grid.refine
     plan = _ladder_plan(epoch.t_m, t.size, grid.df, n_coarse, step)
-    mags, cur = _bluestein_mags(t, y, dphase, a, grid.f_lo, n_coarse, keep,
-                                plan.chirp, plan.kernel_hat)
+    cur = _sample_phasors(t, y, dphase, a, grid.f_lo)
+    if plan.dft_len is not None:
+        mags = _fft_mags(cur, keep, n_coarse, plan.dft_len)
+    else:
+        mags = _bluestein_mags(cur, keep, n_coarse, plan.chirp,
+                               plan.kernel_hat)
     i_c = int(np.argmax(mags))          # first occurrence: smallest f wins ties
     f_c = grid.f_lo + grid.df * i_c
     at_edge = i_c in (0, n_coarse - 1)

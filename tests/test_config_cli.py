@@ -151,6 +151,23 @@ def test_budget_follows_the_base_frequency(tmp_path):
     assert len(key) == budget(setup.budget_inputs).bits_total_floor
 
 
+def test_budget_refuses_a_lottery_without_beats(tmp_path, capsys):
+    # 10 ppm of 1e5 Hz is a 1 Hz lottery, 2 offsets, narrower than the
+    # 2 Hz beat floor: budget exited 1 naming no key; a run needs no
+    # budget, so simulate still takes the config
+    cfgp = tmp_path / "run.cfg"
+    cfgp.write_text("f0_hz = 1e5\n")
+    assert main(["budget", "--config", str(cfgp)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: no valid frequency pairs: f0_hz = 100000 and "
+        "budget_ppm = 10 give a 1 Hz offset lottery with no beat in "
+        "[budget_fd_min_hz, budget_fd_max_hz] = [2, 1000] on the "
+        "budget_f_step_hz = 1 lattice\n")
+    out = tmp_path / "epoch.csv"
+    assert main(["simulate", "--config", str(cfgp), "--out", str(out)]) == 0
+    assert len(_lines(out)) == 4 + 10_000
+
+
 def test_simulate_output_shape_and_determinism(tmp_path):
     cfgp = tmp_path / "run.cfg"
     cfgp.write_text("n_pings = 300\n")
@@ -964,7 +981,13 @@ def test_config_errors_exit_2(tmp_path, capsys):
              "rho_ae_m = -2\n", ["detect"],
              "rho_ae_m must be non-negative, got -2"),
             ("rho_be_m = -0.5\n", ["simulate"],
-             "rho_be_m must be non-negative, got -0.5")):
+             "rho_be_m must be non-negative, got -0.5"),
+            # BudgetInputs' own messages, which named no key
+            ("budget_fd_min_hz = 5000\n", ["budget"],
+             "need 0 < f_d_min <= f_d_max: budget_fd_min_hz = 5000, "
+             "budget_fd_max_hz = 1000"),
+            ("budget_ppm = 0\n", ["budget"],
+             "budget inputs must be positive: budget_ppm = 0")):
         cfgp.write_text(text)
         assert main(argv + ["--config", str(cfgp)]) == 2
         assert capsys.readouterr().err == f"config error: {named}\n"

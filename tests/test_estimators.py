@@ -38,13 +38,21 @@ from climex import (
     run_rtt_epoch,
 )
 from climex import estimators
+from climex.adversary import eve_estimate_rtt, eve_tdoa_epoch
+from climex.config import DEFAULTS, build_setup
 from climex.estimators import (
+    _ALIGN_SLIP,
     _bluestein,
     _bluestein_mags,
+    _dft_len,
     _fast_len,
+    _fft_mags,
     _ladder_plan,
+    _sample_phasors,
+    _unit_phasors,
     dither_cycles,
 )
+from climex.protocol_sim import run_exchange
 
 
 def resultant_mags(t, y, dphase, a, f_start, f_step, count):
@@ -70,7 +78,8 @@ def resultant_mags(t, y, dphase, a, f_start, f_step, count):
 def _chirp_z_mags(t, y, dphase, a, f_start, f_step, count, weight=None):
     """|R(f)| on the uniform ladder f_start + f_step k, k < count, for a
     grid t_j = tau j, as one Bluestein chirp-z transform: the coarse
-    ladder of grid_search, with a fresh ladder plan on every call.
+    ladder of grid_search on a comb that is not DFT-aligned, with a fresh
+    ladder plan on every call.
 
     With W = exp(-2 pi i f_step tau), R_k = sum_j x_j W^(jk) where x_j
     carries the f_start phasor and the optional per-sample weight.
@@ -86,8 +95,8 @@ def _chirp_z_mags(t, y, dphase, a, f_start, f_step, count, weight=None):
     N = 10^5 and tau = 10^-4 s the transform meets the loop to about
     1e-11 N (at most 1.3e-11 of the peak on locked epochs, three seeds).
     """
-    return _bluestein_mags(t, y, dphase, a, f_start, count, weight,
-                           *_bluestein(f_step * t[1], t.size, count))[0]
+    return _bluestein_mags(_sample_phasors(t, y, dphase, a, f_start), weight,
+                           count, *_bluestein(f_step * t[1], t.size, count))
 
 
 # ----------------------------------------------------------------------
@@ -239,6 +248,57 @@ def test_fast_len_is_scipys_complex_fast_length():
             == [scipy.fft.next_fast_len(m, real=False) for m in ms])
 
 
+_PHASES = st.one_of(
+    st.floats(-2.0**40, 2.0**40),
+    st.integers(-2**40, 2**40).map(lambda k: k + 0.5),     # half-integers
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 2.0**40, -2.0**40, 5e-324]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.lists(_PHASES, min_size=1, max_size=300).map(np.array))
+@example(x=np.random.default_rng(0).uniform(-1.0, 1.0, 10_000)
+         * 2.0 ** np.random.default_rng(1).uniform(-30.0, 40.0, 10_000))
+def test_table_phasors_are_the_exp_within_their_bound(x):
+    # the bound _unit_phasors states, against the exp of the exactly
+    # reduced phase; x is read-only, so a write to it would raise
+    x.flags.writeable = False
+    got = _unit_phasors(x)
+    want = np.exp(2j * np.pi * (x - np.rint(x)))
+    assert got.dtype == complex and got.shape == x.shape
+    assert np.max(np.abs(got - want)) <= 3e-15
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(2, 20_000).map(_fast_len),
+       fill=st.floats(0.0, 1.0),
+       reach=st.floats(0.0, 1.0),
+       log_tau=st.floats(-7.0, -1.0),
+       lo=st.floats(-2.0, 2.0),
+       seed=st.integers(0, 2**32 - 1),
+       locked=st.booleans(),
+       masked=st.booleans())
+@example(m=10_000, fill=1.0, reach=0.2, log_tau=-4.0, lo=-0.1, seed=0,
+         locked=True, masked=False)                  # the default comb
+def test_fft_ladder_is_the_chirp_z_ladder_on_aligned_combs(m, fill, reach,
+                                                           log_tau, lo, seed,
+                                                           locked, masked):
+    # n <= M pings and count frequencies with n + count - 1 >= M, so M is
+    # within the Bluestein length: the plan takes the FFT ladder, whose
+    # magnitudes meet the chirp-z transform's to rounding and pick alike
+    n = max(2, min(m, round(fill * m)))
+    count = m - n + 1 + round(reach * (n - 1))
+    assert _dft_len(1.0 / m, n, count) == m
+    tau = 10.0 ** log_tau
+    y, dphase, a, keep = _ladder_inputs(seed, n, locked)
+    p0 = _sample_phasors(tau * np.arange(n), y, dphase, a, lo / tau)
+    weight = keep if masked else None
+    fft = _fft_mags(p0, weight, count, m)
+    czt = _bluestein_mags(p0, weight, count, *_bluestein(1.0 / m, n, count))
+    assert np.max(np.abs(fft - czt)) <= 1e-12 * n
+    assume(not _near_tie(czt))
+    assert np.argmax(fft) == np.argmax(czt)
+
+
 def _near_tie(mags):
     # the top two magnitudes within 1e-9 of the larger: rounding may
     # settle the pick there, so the test makes no claim about it
@@ -263,15 +323,27 @@ def _near_tie(mags):
 # running products reach j = 10^5
 @example(n=100_000, log_tm=-4.0, span=0.2, lo=-0.1, count=201, refine=10,
          lock=0.63, seed=5, masked=True, dithered=True)
+# DFT-aligned combs past m = 23170, df t_m = 1 / n: the FFT ladder
+@example(n=30_000, log_tm=-4.0, span=200 / 30_000, lo=-0.1, count=201,
+         refine=10, lock=0.37, seed=1, masked=False, dithered=False)
+@example(n=100_000, log_tm=-4.0, span=0.002, lo=-0.0005, count=201,
+         refine=10, lock=0.81, seed=2, masked=True, dithered=True)
+# slope combs, 1.23e-7 off those: Bluestein with head products that round
+@example(n=30_000, log_tm=-3.9999995, span=200 / 30_000 * (1 + 1.23e-7),
+         lo=-0.1, count=201, refine=10, lock=0.37, seed=3, masked=True,
+         dithered=False)
+@example(n=100_000, log_tm=-3.9999995, span=0.002 * (1 + 1.23e-7),
+         lo=-0.0005, count=201, refine=10, lock=0.52, seed=4, masked=False,
+         dithered=True)
 def test_grid_search_picks_are_the_stepping_loops(n, log_tm, span, lo, count,
                                                   refine, lock, seed, masked,
                                                   dithered):
     # the coarse pick, the grid-edge flag and the refined beat equal
     # those of the loop over the whole coarse ladder followed by the loop
-    # over the refine window from a fresh exp: the chirp-z transform,
-    # the 11-smooth padding and the running-product phasors move the
-    # magnitudes by rounding only.  A ladder whose top two magnitudes
-    # nearly tie (see _near_tie) is skipped.
+    # over the refine window from a fresh exp: the FFT or chirp-z ladder,
+    # the 11-smooth padding, the table phasors and the running-product
+    # phasors move the magnitudes by rounding only.  A ladder whose top
+    # two magnitudes nearly tie (see _near_tie) is skipped.
     consts = ProtocolConstants()
     rng = np.random.default_rng(seed)
     t_m = 10.0 ** log_tm
@@ -409,13 +481,74 @@ def test_each_comb_gets_its_own_plan(clock_pair, scenario, consts,
 
 def test_ladder_plan_is_read_only_and_holds_two_combs():
     assert _ladder_plan.cache_info().maxsize == 2
-    plan = _ladder_plan(1.0e-4, 300, 1.0, 2001, 0.1)
-    assert len(plan) == 3
-    for arr in plan:
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
-        with pytest.raises(ValueError):
-            arr *= 2.0
+    # a Bluestein plan holds three arrays, an aligned one the refine step
+    for n, arrays in ((300, 3), (10_000, 1)):
+        plan = _ladder_plan(1.0e-4, n, 1.0, 2001, 0.1)
+        held = [arr for arr in plan if isinstance(arr, np.ndarray)]
+        assert len(held) == arrays
+        for arr in held:
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+            with pytest.raises(ValueError):
+                arr *= 2.0
+
+
+def test_only_unaligned_combs_build_a_chirp(monkeypatch):
+    # the default comb is bins 0 .. 2000 of the length-10^4 DFT and builds
+    # no Bluestein arrays; the listener's slope comb and the 200-ping
+    # detection comb still do
+    built = []
+    real = estimators._bluestein
+
+    def counting(c, n, count):
+        built.append(n)
+        return real(c, n, count)
+
+    monkeypatch.setattr(estimators, "_bluestein", counting)
+    _ladder_plan.cache_clear()
+    s = build_setup(dict(DEFAULTS))
+    epoch, log = run_exchange(s.initiator, s.responder, s.scenario, s.consts,
+                              s.noise)
+    grid_search(epoch, s.consts, grid=s.grid)
+    assert built == []
+    assert _ladder_plan.cache_info().currsize == 1
+    tap = eve_tdoa_epoch(log, s.rho_ae, s.rho_be, s.noise, 9000)
+    eve_estimate_rtt(tap, s.consts, grid=s.grid)
+    assert built == [tap.tdoa.size]
+    short = build_setup(dict(DEFAULTS, n_pings=200))
+    epoch, _ = run_exchange(short.initiator, short.responder, short.scenario,
+                            short.consts, short.noise)
+    grid_search(epoch, short.consts, grid=short.grid)
+    assert built == [tap.tdoa.size, 200]
+
+
+def test_alignment_slip_bound_at_its_edge():
+    # walk c up from 1 / M one float at a time: the last c whose slip
+    # (count - 1)(n - 1)|c - 1/M| is within _ALIGN_SLIP takes the FFT
+    # ladder, the next does not, and at the edge the FFT magnitudes still
+    # meet the exact ladder's (Bluestein at that c) within the stated
+    # 2 pi _ALIGN_SLIP n plus rounding
+    n, count, m = 10_000, 2001, 10_000
+    slip = lambda c: (count - 1) * (n - 1) * abs(c - 1.0 / m)
+    c = 1.0 / m
+    while slip(np.nextafter(c, 1.0)) <= _ALIGN_SLIP:
+        c = float(np.nextafter(c, 1.0))
+    assert c > 1.0 / m
+    assert _dft_len(c, n, count) == m
+    assert _dft_len(float(np.nextafter(c, 1.0)), n, count) is None
+    tau = 1.0e-4
+    y, dphase, a, _ = _ladder_inputs(11, n, locked=True)
+    p0 = _sample_phasors(tau * np.arange(n), y, dphase, a, 0.0)
+    fft = _fft_mags(p0, None, count, m)
+    exact = _bluestein_mags(p0, None, count, *_bluestein(c, n, count))
+    bound = (2.0 * np.pi * _ALIGN_SLIP + 1e-12) * n
+    assert np.max(np.abs(fft - exact)) <= bound
+    assert np.argmax(fft) == np.argmax(exact)
+    # the other conditions: n <= M <= the Bluestein length, M 11-smooth
+    assert _dft_len(1.0 / m, m + 1, count) is None
+    assert _dft_len(1.0 / m, 5000, 2001) is None      # L = 7000 < M
+    assert _dft_len(1.0 / 10_007, n, count) is None   # a prime M
+    assert _dft_len(1.0 / m, m, 1) == m
 
 
 # ----------------------------------------------------------------------
