@@ -17,7 +17,6 @@ from .signal_model import (
 from .protocol_sim import (
     ArrivalLog,
     CausalityError,
-    DitherSpec,
     ProtocolOverrunError,
     ScenarioConfig,
     effective_ping_interval,
@@ -30,7 +29,7 @@ from .protocol_sim import (
     run_climex_epoch,
     run_exchange,
     run_rtt_epoch,
-    scenario_streams,
+    scenario_stream,
 )
 from .estimators import (
     CounterpartEstimate,

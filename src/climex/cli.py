@@ -10,6 +10,7 @@ estimation errors), 2 configuration or usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -32,7 +33,8 @@ from .protocol_sim import (
     replay_dither,
     run_exchange,
 )
-from .secrecy import KeyRangeError, budget, count_valid_pairs_formula
+from .secrecy import (KeyRangeError, budget, count_valid_pairs_formula,
+                      valid_pair_area)
 from .signal_model import MeasurementEpoch
 from .sweep import log_spaced_values, run_sweep
 
@@ -65,17 +67,12 @@ _SCALE = np.array([float(10 ** (12 - e)) for e in range(-10, 13)])
 
 
 def _digit_words() -> np.ndarray:
-    """Word i (i < 10^4) holds the four ASCII digits of i; word 10^4 + i
-    the same with leading zeros turned to NUL, 0 all NUL; and word
-    2 * 10^4 + i likewise, but 0 as "0"."""
-    words = np.empty((3, 10, 10, 10, 10, 4), dtype=np.uint8)
+    """Word i (i < 10^4) holds the four ASCII digits of i, zero-padded."""
+    digits = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
     for j in range(4):
-        words[..., j] = np.arange(ord("0"), ord("9") + 1).reshape(
+        digits[..., j] = np.arange(ord("0"), ord("9") + 1).reshape(
             [10 if k == j else 1 for k in range(4)])
-    bare = words[1:].reshape(2, 10000, 4)
-    bare *= np.logical_or.accumulate(bare != ord("0"), axis=2)
-    words[2, 0, 0, 0, 0, 3] = ord("0")
-    return words.reshape(-1).view(np.uint32)
+    return digits.reshape(-1).view(np.uint32)
 
 
 _DIGIT_WORDS = _digit_words()
@@ -146,14 +143,16 @@ def _int_cells(v: np.ndarray):
     width = len(str(int(u.max()))) if u.size else 1
     groups = (width + 3) // 4
     words = np.empty((v.size, groups), dtype=np.uint32)
+    rest = u
     for j in range(groups - 1, -1, -1):
-        above = u // 10 ** 4
-        # the leading group has its leading zeros as NUL, and is all NUL
-        # if it is 0 and not the last
-        bare = (above == 0) * (2 * 10 ** 4 if j == groups - 1 else 10 ** 4)
-        words[:, j] = _DIGIT_WORDS[u - above * 10 ** 4 + bare]
-        u = above
-    return words.view(np.uint8)[:, 4 * groups - width:], neg
+        above = rest // 10 ** 4
+        words[:, j] = _DIGIT_WORDS[rest - above * 10 ** 4]
+        rest = above
+    cells = words.view(np.uint8)[:, 4 * groups - width:]
+    # the digit of 10^k in a value below 10^k is a leading zero: NUL
+    for k in range(1, width):
+        cells[:, width - 1 - k] *= u >= 10 ** k
+    return cells, neg
 
 
 def _int_column(column) -> np.ndarray:
@@ -478,15 +477,18 @@ def cmd_sweep(args) -> int:
 def cmd_budget(args) -> int:
     setup = _setup_from_args(args)
     b = setup.budget_inputs
+    # a run needs no budget, so build_setup takes such a config (say
+    # f0_hz = 1e5, where 10 ppm is a 1 Hz lottery, or 2e5, whose two
+    # pairs at the 2 Hz beat floor span no area)
+    lottery = (f"f0_hz = {b.f0_hz:g} and budget_ppm = {b.ppm:g} give a "
+               f"{2.0 * b.half_span_hz:g} Hz offset lottery with no beat")
+    window = (f"in [budget_fd_min_hz, budget_fd_max_hz] = "
+              f"[{b.f_d_min_hz:g}, {b.f_d_max_hz:g}]")
     if count_valid_pairs_formula(b) < 1:
-        # a run needs no budget, so build_setup takes such a config (say
-        # f0_hz = 1e5, where 10 ppm is a 1 Hz lottery)
-        raise ConfigError(
-            f"no valid frequency pairs: f0_hz = {b.f0_hz:g} and budget_ppm "
-            f"= {b.ppm:g} give a {2.0 * b.half_span_hz:g} Hz offset lottery "
-            f"with no beat in [budget_fd_min_hz, budget_fd_max_hz] = "
-            f"[{b.f_d_min_hz:g}, {b.f_d_max_hz:g}] on the budget_f_step_hz "
-            f"= {b.f_step_hz:g} lattice")
+        raise ConfigError(f"no valid frequency pairs: {lottery} {window} on "
+                          f"the budget_f_step_hz = {b.f_step_hz:g} lattice")
+    if valid_pair_area(b) <= 0.0:
+        raise ConfigError(f"no valid pair area: {lottery} area {window}")
     rep = budget(b)
     lines = [
         f"n_freq_values = {rep.n_freq}",
@@ -517,10 +519,6 @@ def cmd_detect(args) -> int:
     attacked = np.zeros(n, dtype=bool)
     won = np.zeros(n, dtype=bool)
     if setup.attack != "none":
-        if not 1 <= setup.attack_n <= n:
-            raise ConfigError(f"attack_n must be in [1, n_pings] when attack "
-                              f"is on, got attack_n = {setup.attack_n} with "
-                              f"n_pings = {n}")
         maker = (make_random_timing_plan if setup.attack == "random"
                  else make_oracle_plan)
         plan = maker(log, setup.rho_ae, setup.attack_n, rng=setup.attack_seed)
@@ -558,18 +556,13 @@ def cmd_detect(args) -> int:
 # ======================================================================
 
 
-# the parser build_parser made, once it has made it
-_PARSER: list = []
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and returned
     again after: a process that calls ``main`` many times, as the tests
     and in-process callers do, builds it once (argparse set-up costs
     ~1 ms, mostly in the help formatter's locale lookups).  Parsing
     leaves the parser as it was."""
-    if _PARSER:
-        return _PARSER[0]
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH",
                         help="key = value config file; defaults otherwise")
@@ -619,7 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--residuals", metavar="PATH",
                     help="also write the per-ping residual CSV here")
     pd.set_defaults(func=cmd_detect)
-    _PARSER.append(p)
     return p
 
 

@@ -24,7 +24,6 @@ from .signal_model import (
 )
 from .protocol_sim import (
     CausalityError,
-    DitherSpec,
     ScenarioConfig,
     ping_decimation,
 )
@@ -57,7 +56,6 @@ DEFAULTS: dict = {
     "a_scale_s": 2.5e-8,
     "c_mps": SPEED_OF_LIGHT_M_S,
     "dither": "uniform",
-    "dither_span_s": 0.0,        # 0 means one nominal responder period
     "seed": 12345,
     # estimation
     "grid_f_lo_hz": -1000.0,
@@ -192,18 +190,19 @@ def build_setup(cfg: dict) -> RunSetup:
     if not 0.0 <= cfg["detect_trim"] < 0.5:
         raise ConfigError(f"detect_trim must be in [0, 0.5), "
                           f"got {cfg['detect_trim']:g}")
+    if cfg["attack"] != "none" and not 1 <= cfg["attack_n"] <= cfg["n_pings"]:
+        raise ConfigError(f"attack_n must be in [1, n_pings] when attack is "
+                          f"on, got attack_n = {cfg['attack_n']} with "
+                          f"n_pings = {cfg['n_pings']}")
     try:
         initiator = ClockParams(f_hz=cfg["f0_hz"] + cfg["offset_a_hz"],
                                 theta_rad=cfg["theta_a_rad"])
         responder = ClockParams(f_hz=cfg["f0_hz"] + cfg["offset_b_hz"],
                                 theta_rad=cfg["theta_b_rad"])
-        span = cfg["dither_span_s"]
-        dither = DitherSpec(kind=cfg["dither"],
-                            span=None if span <= 0.0 else span)
         scenario = ScenarioConfig(t_m=cfg["tm_s"], n_pings=cfg["n_pings"],
                                   rho_ab=cfg["rho_ab_m"],
-                                  t_start=cfg["t_start_s"], dither=dither,
-                                  seed=cfg["seed"])
+                                  t_start=cfg["t_start_s"],
+                                  dither=cfg["dither"], seed=cfg["seed"])
         consts = ProtocolConstants(c=cfg["c_mps"], f_nominal=cfg["f0_hz"],
                                    delta_0=cfg["delta0_s"],
                                    a_scale=cfg["a_scale_s"])

@@ -23,14 +23,15 @@ decohere (R ~ sqrt(N)).  R is invariant to phi and to the constant
 floor, so the stage estimates f alone.
 
 Every epoch sits on the ping comb t_j = t_m j, so the coarse ladder
-f_lo + df k is a chirp-z transform of the sample phasors (Rabiner,
-Schafer and Rader 1969), taken one of two ways:
+f_lo + df k is one chirp-z transform of the sample phasors (Rabiner,
+Schafer and Rader 1969), which :func:`_ladder_mags` takes from the
+comb's ladder plan:
 
 * On a DFT-aligned comb, df t_m = 1 / M for a whole M with N <= M <= L
   (see :func:`_dft_len` for the slip bound), the transform is the DFT
   itself: the ladder is bins 0 .. K - 1 of one length-M FFT of the
-  phasors, zero-padded.  The default comb (t_m = 100 us, df = 1 Hz,
-  10^4 pings) is one, with M = 10^4.
+  phasors, zero-padded, and the plan holds no chirp or kernel.  The
+  default comb (t_m = 100 us, df = 1 Hz, 10^4 pings) has M = 10^4.
 * Any other comb, such as the listener's least-squares slope or the
   200-ping detection comb (M = 10^4 > L = 2200), takes Bluestein's FFT
   convolution in O((N + K) log(N + K)) instead of N K, padded to L =
@@ -315,7 +316,6 @@ def _geometric(z, n):
     return np.cumprod(g, out=g)
 
 
-@functools.lru_cache(maxsize=64)
 def _fast_len(m):
     """The smallest 11-smooth integer >= m (factors 2, 3, 5, 7, 11 only),
     the lengths pocketfft transforms without a generic prime pass."""
@@ -357,33 +357,6 @@ def _bluestein(c, n, count):
     kern[:count] = chirp[:count]
     kern[size - n + 1:] = chirp[n - 1:0:-1]
     return chirp[:n].conj(), np.fft.fft(kern, out=kern)
-
-
-def _bluestein_mags(p0, weight, count, chirp, kernel_hat):
-    """|R_k| from the sample phasors p0 (times the optional per-sample
-    weight) and the arrays of :func:`_bluestein`."""
-    n = p0.size
-    x = np.zeros(kernel_hat.size, dtype=complex)
-    np.multiply(p0, chirp, out=x[:n])
-    if weight is not None:
-        x[:n] *= weight
-    x = np.fft.fft(x, out=x)                   # in place: one buffer only
-    x *= kernel_hat
-    return np.abs(np.fft.ifft(x, out=x)[:count])
-
-
-def _fft_mags(p0, weight, count, size):
-    """|R_k| on a DFT-aligned comb, df t_m = 1 / size: bins 0 .. count - 1
-    of the length-size DFT of the sample phasors p0 (times the optional
-    per-sample weight), zero-padded from n <= size."""
-    n = p0.size
-    x = np.zeros(size, dtype=complex)
-    if weight is None:
-        x[:n] = p0
-    else:
-        np.multiply(p0, weight, out=x[:n])
-    x = np.fft.fft(x, out=x)
-    return np.abs(x[:count])
 
 
 # the most a DFT-aligned ladder may slip against the exact one over the
@@ -478,7 +451,7 @@ def _sample_phasors(t, y, dphase, a, f_start):
 
 
 class _LadderPlan(NamedTuple):
-    dft_len: int | None        # M on a DFT-aligned comb, else None
+    size: int                  # M on a DFT-aligned comb, else Bluestein's L
     chirp: np.ndarray | None   # conjugate Bluestein chirp on the n pings
     kernel_hat: np.ndarray | None  # FFT of the Bluestein kernel, length L
     refine_step: np.ndarray    # exp(-2 pi i (df / refine) t) on the comb
@@ -490,21 +463,41 @@ def _ladder_plan(t_m, n, df, n_coarse, refine_step) -> _LadderPlan:
     grid, built once per (t_m, n, df, n_coarse, refine_step).
 
     A DFT-aligned comb (see :func:`_dft_len`) holds its length M and no
-    chirp or kernel; any other holds the Bluestein arrays.  Two entries
-    hold the two combs one process fits (10^4 pings for estimates and
-    sweeps, 200 for detection); a comb whose t_m is itself an estimate
-    (the listener's slope) misses and pays today's cost.  The arrays are
-    shared by every caller, so they are read-only.
+    chirp or kernel; any other the Bluestein arrays and their length L.
+    Two entries hold the two combs one process fits (10^4 pings for
+    estimates and sweeps, 200 for detection); a comb whose t_m is itself
+    an estimate (the listener's slope) misses and pays today's cost.
+    The arrays are shared by every caller, so they are read-only.
     """
     m = _dft_len(df * t_m, n, n_coarse)
     chirp, kernel_hat = ((None, None) if m is not None
                          else _bluestein(df * t_m, n, n_coarse))
-    plan = _LadderPlan(m, chirp, kernel_hat, _geometric(
+    plan = _LadderPlan(m or kernel_hat.size, chirp, kernel_hat, _geometric(
         np.exp(-1j * _TWO_PI * refine_step * t_m), n))
     for arr in plan[1:]:
         if arr is not None:
             arr.flags.writeable = False
     return plan
+
+
+def _ladder_mags(p0, weight, count, plan):
+    """|R_k|, k = 0 .. count - 1, from the sample phasors p0 (times the
+    optional per-sample weight), zero-padded to the plan's length: bins
+    0 .. count - 1 of their DFT on a DFT-aligned comb; on any other, p0
+    times the plan's chirp, convolved with its kernel by FFT (Bluestein)."""
+    n = p0.size
+    x = np.zeros(plan.size, dtype=complex)
+    if plan.chirp is None:
+        x[:n] = p0
+    else:
+        np.multiply(p0, plan.chirp, out=x[:n])
+    if weight is not None:
+        x[:n] *= weight
+    x = np.fft.fft(x, out=x)                   # in place: one buffer only
+    if plan.kernel_hat is not None:
+        x *= plan.kernel_hat
+        x = np.fft.ifft(x, out=x)
+    return np.abs(x[:count])
 
 
 def grid_search(epoch: MeasurementEpoch, consts: ProtocolConstants, *,
@@ -555,11 +548,7 @@ def grid_search(epoch: MeasurementEpoch, consts: ProtocolConstants, *,
     step = grid.df / grid.refine
     plan = _ladder_plan(epoch.t_m, t.size, grid.df, n_coarse, step)
     cur = _sample_phasors(t, y, dphase, a, grid.f_lo)
-    if plan.dft_len is not None:
-        mags = _fft_mags(cur, keep, n_coarse, plan.dft_len)
-    else:
-        mags = _bluestein_mags(cur, keep, n_coarse, plan.chirp,
-                               plan.kernel_hat)
+    mags = _ladder_mags(cur, keep, n_coarse, plan)
     i_c = int(np.argmax(mags))          # first occurrence: smallest f wins ties
     f_c = grid.f_lo + grid.df * i_c
     at_edge = i_c in (0, n_coarse - 1)

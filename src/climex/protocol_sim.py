@@ -26,8 +26,7 @@ closed forms matters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,11 +42,11 @@ from .signal_model import (
 __all__ = [
     "ProtocolOverrunError",
     "CausalityError",
-    "DitherSpec",
     "ScenarioConfig",
-    "Streams",
     "ArrivalLog",
-    "scenario_streams",
+    "DITHER_SLOT",
+    "NOISE_SLOT",
+    "scenario_stream",
     "first_edge_at_or_after",
     "cycles_to_next_edge",
     "phase_to_next_edge",
@@ -77,33 +76,15 @@ class CausalityError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DitherSpec:
-    """Per-ping emission dither.
-
-    kind  "none" or "uniform"
-    span  upper edge of U(0, span) in seconds; None means one nominal
-          responder period (1 / f_nominal)
-    """
-
-    kind: str = "none"
-    span: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("none", "uniform"):
-            raise ValueError(f"unknown dither kind {self.kind!r}")
-        if self.span is not None and self.span < 0.0:
-            raise ValueError("dither span must be non-negative")
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
-    """Exchange-level knobs that are not clock or noise parameters."""
+    """Exchange-level knobs that are not clock or noise parameters.
+    ``dither`` "uniform" advances each ping by U(0, 1 / f_nominal)."""
 
     t_m: float = 1.0e-4
     n_pings: int = 10000
     rho_ab: float = 3.0
     t_start: float = 0.0
-    dither: DitherSpec = field(default_factory=DitherSpec)
+    dither: str = "none"
     seed: int = 0
 
     def __post_init__(self):
@@ -113,28 +94,25 @@ class ScenarioConfig:
             raise ValueError("n_pings must be at least 1")
         if self.rho_ab < 0.0:
             raise CausalityError("negative initiator-responder distance")
+        if self.dither not in ("none", "uniform"):
+            raise ValueError(f"unknown dither kind {self.dither!r}")
 
 
-class Streams(NamedTuple):
-    """The initiator's generators: its ping dither and the epoch noise.
+# the spawn keys of the initiator's streams under the scenario seed
+DITHER_SLOT = 1
+NOISE_SLOT = 2
 
-    Each owns a fixed child slot of the scenario seed, so changing one
-    knob (say, the dither kind) never shifts the draws seen by the
-    other.  Adversary draws take their own explicit seeds.
+
+def scenario_stream(seed, slot: int) -> np.random.Generator:
+    """The generator of one of the initiator's draws: child ``slot`` of
+    ``SeedSequence(seed)``, addressed by spawn key.
+
+    Each draw owns its slot, so changing one knob (say, the dither kind)
+    never shifts the draws seen by another, and a caller builds only the
+    stream it draws from.  Adversary draws take their own explicit seeds.
     """
-
-    initiator_dither: np.random.Generator
-    initiator_noise: np.random.Generator
-
-
-def scenario_streams(seed) -> Streams:
-    """The two initiator streams of a scenario seed.
-
-    They are children 1 and 2 of ``SeedSequence(seed)``, addressed by
-    spawn key, so these slot numbers fix every draw.
-    """
-    return Streams(*(np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(k,))) for k in (1, 2)))
+    return np.random.default_rng(np.random.SeedSequence(seed,
+                                                        spawn_key=(slot,)))
 
 
 # ======================================================================
@@ -229,14 +207,11 @@ def replay_dither(cfg: ScenarioConfig,
 
     The draws are a pure function of ``cfg.seed``, so the initiator can
     rebuild them when refitting an epoch it recorded earlier (the epoch
-    CSV does not carry them).  ``dither.kind == "none"`` gives zeros.
+    CSV does not carry them).  ``dither == "none"`` gives zeros.
     """
-    if cfg.dither.kind == "uniform":
-        span = cfg.dither.span
-        if span is None:
-            span = 1.0 / consts.f_nominal
-        return scenario_streams(cfg.seed).initiator_dither.uniform(
-            0.0, span, size=cfg.n_pings)
+    if cfg.dither == "uniform":
+        return scenario_stream(cfg.seed, DITHER_SLOT).uniform(
+            0.0, 1.0 / consts.f_nominal, size=cfg.n_pings)
     return np.zeros(cfg.n_pings)
 
 
@@ -257,7 +232,6 @@ def run_exchange(initiator: ClockParams, responder: ClockParams,
     if kind not in ("rtt", "climex"):
         raise ValueError(f"unknown exchange kind {kind!r}")
 
-    streams = scenario_streams(cfg.seed)
     n = cfg.n_pings
     t_b_true = 1.0 / responder.f_hz
     if kind == "rtt":
@@ -278,7 +252,8 @@ def run_exchange(initiator: ClockParams, responder: ClockParams,
         raise ProtocolOverrunError("dither span reorders ping emissions")
 
     ping_arrive = ping_emit + cfg.rho_ab / consts.c
-    n_in, w_out = draw_epoch_noise(n, noise, streams.initiator_noise)
+    n_in, w_out = draw_epoch_noise(n, noise,
+                                   scenario_stream(cfg.seed, NOISE_SLOT))
 
     gap = fold(t_b_true * cycles_to_next_edge(responder, ping_arrive) + n_in,
                t_b_true)

@@ -151,6 +151,10 @@ def budget(inputs: BudgetInputs | None = None) -> SecrecyBudget:
     if pairs < 1:
         raise ValueError("no valid frequency pairs under these inputs")
     area = valid_pair_area(inputs)
+    if area <= 0.0:
+        raise ValueError("no valid pair area under these inputs: the offset "
+                         "lottery is no wider than f_d_min, or f_d_min = "
+                         "f_d_max")
     n_phi = _TWO_PI / inputs.phi_step_rad
     n_rho = inputs.rho_max_m / inputs.rho_step_m
     l2_pairs = math.log2(pairs)

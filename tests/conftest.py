@@ -13,7 +13,6 @@ from hypothesis import settings
 
 from climex import (
     ClockParams,
-    DitherSpec,
     NoiseParams,
     ProtocolConstants,
     ScenarioConfig,
@@ -62,10 +61,9 @@ def clock_pair():
 def scenario():
     """Factory for a ScenarioConfig with compact defaults."""
 
-    def make(n_pings=2000, seed=0, dither="none", span=None, rho_ab=3.0,
-             t_m=1.0e-4):
+    def make(n_pings=2000, seed=0, dither="none", rho_ab=3.0, t_m=1.0e-4):
         return ScenarioConfig(t_m=t_m, n_pings=n_pings, rho_ab=rho_ab,
-                              dither=DitherSpec(kind=dither, span=span),
+                              dither=dither,
                               seed=seed)
 
     return make

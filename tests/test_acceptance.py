@@ -29,7 +29,6 @@ import numpy as np
 import climex
 from climex import (
     ClockParams,
-    DitherSpec,
     NoiseParams,
     ProtocolConstants,
     SawtoothArgs,
@@ -192,7 +191,7 @@ def test_criterion_6_protocol_reduction_and_closed_form(consts, desk_noise):
         native = ProtocolConstants(a_scale=res.period)
         cfg = ScenarioConfig(t_m=1.0e-4, n_pings=300,
                              rho_ab=rng.uniform(0.0, 30.0),
-                             dither=DitherSpec(kind="none"), seed=600 + i)
+                             dither="none", seed=600 + i)
         ep_c, _ = run_climex_epoch(ini, res, cfg, native, desk_noise)
         ep_r, _ = run_rtt_epoch(ini, res, cfg, native, desk_noise)
         assert np.array_equal(ep_c.y_vec, ep_r.y_vec)
@@ -206,7 +205,7 @@ def test_criterion_6_protocol_reduction_and_closed_form(consts, desk_noise):
         use_climex = i % 2 == 1
         cfg = ScenarioConfig(
             t_m=1.0e-4, n_pings=int(rng.integers(100, 400)), rho_ab=rho,
-            dither=DitherSpec(kind="uniform" if use_climex else "none"),
+            dither="uniform" if use_climex else "none",
             seed=700 + i)
         runner = run_climex_epoch if use_climex else run_rtt_epoch
         ep, log = runner(ini, res, cfg, consts, desk_noise)

@@ -952,11 +952,19 @@ def test_config_errors_exit_2(tmp_path, capsys):
             ("n_pings = 200\nattack = random\nattack_n = 500\n", ["detect"],
              "attack_n must be in [1, n_pings] when attack is on, got "
              "attack_n = 500 with n_pings = 200"),
+            # checked by the setup, so simulate (which ignores the
+            # attack) refused it no more than estimate does
+            ("attack = random\nattack_n = 0\n", ["simulate"],
+             "attack_n must be in [1, n_pings] when attack is on, got "
+             "attack_n = 0 with n_pings = 10000"),
             ("grid_n_phi = 64\n", ["estimate"],
              "line 1: unknown key 'grid_n_phi'"),
             # the budget's lottery is around f0_hz, not a key of its own
             ("budget_f0_hz = 2e8\n", ["budget"],
              "line 1: unknown key 'budget_f0_hz'"),
+            # every dither spans one nominal clock period
+            ("dither_span_s = 1e-9\n", ["simulate"],
+             "line 1: unknown key 'dither_span_s'"),
             # a ping interval under one clock period exited 1 unnamed
             ("tm_s = 1e-9\n", ["simulate"],
              "ping interval shorter than one clock period: tm_s = 1e-09, "
@@ -987,7 +995,13 @@ def test_config_errors_exit_2(tmp_path, capsys):
              "need 0 < f_d_min <= f_d_max: budget_fd_min_hz = 5000, "
              "budget_fd_max_hz = 1000"),
             ("budget_ppm = 0\n", ["budget"],
-             "budget inputs must be positive: budget_ppm = 0")):
+             "budget inputs must be positive: budget_ppm = 0"),
+            # a 2 Hz lottery holds 2 pairs at a 2 Hz beat but no pair
+            # area, whose log2 exited 1 with "math domain error"
+            ("f0_hz = 2e5\n", ["budget"],
+             "no valid pair area: f0_hz = 200000 and budget_ppm = 10 give "
+             "a 2 Hz offset lottery with no beat area in [budget_fd_min_hz, "
+             "budget_fd_max_hz] = [2, 1000]")):
         cfgp.write_text(text)
         assert main(argv + ["--config", str(cfgp)]) == 2
         assert capsys.readouterr().err == f"config error: {named}\n"
@@ -1016,12 +1030,11 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
-def test_parser_answers_the_same_after_a_usage_error(tmp_path, capsys,
-                                                     monkeypatch):
+def test_parser_answers_the_same_after_a_usage_error(tmp_path, capsys):
     # the parser is built once per process and kept: the commands (and
     # the help text) give the same bytes from a fresh parser and from
     # one a usage error went through
-    monkeypatch.setattr(cli, "_PARSER", [])
+    cli.build_parser.cache_clear()
     cfgp = tmp_path / "run.cfg"
     cfgp.write_text("n_pings = 200\nattack = random\nattack_n = 40\n")
     config = ["--config", str(cfgp)]

@@ -42,11 +42,11 @@ from climex.adversary import eve_estimate_rtt, eve_tdoa_epoch
 from climex.config import DEFAULTS, build_setup
 from climex.estimators import (
     _ALIGN_SLIP,
+    _LadderPlan,
     _bluestein,
-    _bluestein_mags,
     _dft_len,
     _fast_len,
-    _fft_mags,
+    _ladder_mags,
     _ladder_plan,
     _sample_phasors,
     _unit_phasors,
@@ -95,8 +95,15 @@ def _chirp_z_mags(t, y, dphase, a, f_start, f_step, count, weight=None):
     N = 10^5 and tau = 10^-4 s the transform meets the loop to about
     1e-11 N (at most 1.3e-11 of the peak on locked epochs, three seeds).
     """
-    return _bluestein_mags(_sample_phasors(t, y, dphase, a, f_start), weight,
-                           count, *_bluestein(f_step * t[1], t.size, count))
+    return _ladder_mags(_sample_phasors(t, y, dphase, a, f_start), weight,
+                        count, _bluestein_plan(f_step * t[1], t.size, count))
+
+
+def _bluestein_plan(c, n, count):
+    """A ladder plan on Bluestein's path at chirp step c, whatever the
+    comb (no refine step)."""
+    chirp, kernel_hat = _bluestein(c, n, count)
+    return _LadderPlan(kernel_hat.size, chirp, kernel_hat, None)
 
 
 # ----------------------------------------------------------------------
@@ -292,8 +299,8 @@ def test_fft_ladder_is_the_chirp_z_ladder_on_aligned_combs(m, fill, reach,
     y, dphase, a, keep = _ladder_inputs(seed, n, locked)
     p0 = _sample_phasors(tau * np.arange(n), y, dphase, a, lo / tau)
     weight = keep if masked else None
-    fft = _fft_mags(p0, weight, count, m)
-    czt = _bluestein_mags(p0, weight, count, *_bluestein(1.0 / m, n, count))
+    fft = _ladder_mags(p0, weight, count, _LadderPlan(m, None, None, None))
+    czt = _ladder_mags(p0, weight, count, _bluestein_plan(1.0 / m, n, count))
     assert np.max(np.abs(fft - czt)) <= 1e-12 * n
     assume(not _near_tie(czt))
     assert np.argmax(fft) == np.argmax(czt)
@@ -539,8 +546,8 @@ def test_alignment_slip_bound_at_its_edge():
     tau = 1.0e-4
     y, dphase, a, _ = _ladder_inputs(11, n, locked=True)
     p0 = _sample_phasors(tau * np.arange(n), y, dphase, a, 0.0)
-    fft = _fft_mags(p0, None, count, m)
-    exact = _bluestein_mags(p0, None, count, *_bluestein(c, n, count))
+    fft = _ladder_mags(p0, None, count, _LadderPlan(m, None, None, None))
+    exact = _ladder_mags(p0, None, count, _bluestein_plan(c, n, count))
     bound = (2.0 * np.pi * _ALIGN_SLIP + 1e-12) * n
     assert np.max(np.abs(fft - exact)) <= bound
     assert np.argmax(fft) == np.argmax(exact)

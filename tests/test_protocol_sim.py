@@ -7,7 +7,6 @@ import pytest
 from climex import (
     CausalityError,
     ClockParams,
-    DitherSpec,
     NoiseParams,
     ProtocolConstants,
     ProtocolOverrunError,
@@ -24,8 +23,9 @@ from climex import (
     run_climex_epoch,
     run_rtt_epoch,
     sawtooth,
-    scenario_streams,
+    scenario_stream,
 )
+from climex.protocol_sim import DITHER_SLOT, NOISE_SLOT
 
 
 # ----------------------------------------------------------------------
@@ -85,20 +85,19 @@ def test_ping_decimation(consts):
 
 
 def test_scenario_streams_are_stable_and_disjoint():
-    s1 = scenario_streams(77)
-    s2 = scenario_streams(77)
-    a = s1.initiator_noise.normal(size=8)
-    b = s2.initiator_noise.normal(size=8)
+    a = scenario_stream(77, NOISE_SLOT).normal(size=8)
+    b = scenario_stream(77, NOISE_SLOT).normal(size=8)
     assert np.array_equal(a, b)
-    c = s2.initiator_dither.normal(size=8)
+    c = scenario_stream(77, DITHER_SLOT).normal(size=8)
     assert not np.array_equal(b, c)
     # every recorded draw hangs on these spawn slots of the seed
+    assert (DITHER_SLOT, NOISE_SLOT) == (1, 2)
     for seed in (0, 77, 12345):
         kids = np.random.SeedSequence(seed).spawn(6)
-        s = scenario_streams(seed)
-        for k, g in ((1, s.initiator_dither), (2, s.initiator_noise)):
+        for k in (DITHER_SLOT, NOISE_SLOT):
             ref = np.random.default_rng(kids[k]).uniform(size=16)
-            assert np.array_equal(g.uniform(size=16), ref)
+            assert np.array_equal(scenario_stream(seed, k).uniform(size=16),
+                                  ref)
 
 
 # ----------------------------------------------------------------------
@@ -179,12 +178,17 @@ def test_rtt_log_uses_unit_scale(clock_pair, scenario, consts, zero_noise):
 # ----------------------------------------------------------------------
 
 
-def test_wide_dither_overruns(clock_pair, consts, desk_noise):
+def test_wide_dither_overruns(clock_pair, zero_noise):
+    # 70 ns slots hold every respond (20 ns of flight, 20 ns of delay
+    # and a gap below 25 ns); the dither, up to one 10 ns period, moves
+    # the next ping up by as much and overruns some slot in 50
     ini, res = clock_pair(500.0)
-    cfg = ScenarioConfig(t_m=1.0e-4, n_pings=50, rho_ab=3.0, seed=1,
-                         dither=DitherSpec(kind="uniform", span=2.0e-4))
-    with pytest.raises(ProtocolOverrunError):
-        run_climex_epoch(ini, res, cfg, consts, desk_noise)
+    consts = ProtocolConstants(delta_0=2.0e-8)
+    cfg = dict(t_m=7.0e-8, n_pings=50, rho_ab=3.0, seed=1)
+    run_climex_epoch(ini, res, ScenarioConfig(**cfg), consts, zero_noise)
+    with pytest.raises(ProtocolOverrunError, match="overruns the next"):
+        run_climex_epoch(ini, res, ScenarioConfig(dither="uniform", **cfg),
+                         consts, zero_noise)
 
 
 def test_replayed_dither_matches_the_exchange(clock_pair, scenario, consts,
@@ -216,5 +220,5 @@ def test_scenario_validation():
         ScenarioConfig(t_m=0.0, n_pings=10)
     with pytest.raises(ValueError):
         ScenarioConfig(t_m=1.0e-4, n_pings=0)
-    with pytest.raises(ValueError):
-        DitherSpec(kind="gauss")
+    with pytest.raises(ValueError, match="unknown dither kind 'gauss'"):
+        ScenarioConfig(dither="gauss")

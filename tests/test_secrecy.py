@@ -126,6 +126,15 @@ def test_budget_rejects_empty_pair_set():
     assert count_valid_pairs_formula(inp) == 0
     with pytest.raises(ValueError):
         budget(inp)
+    # pairs that span no area: a 2 Hz lottery at the 2 Hz beat floor, and
+    # a beat window of no width; log2 of the area raised a bare "math
+    # domain error"
+    for inp in (BudgetInputs(f0_hz=2.0e5),
+                BudgetInputs(f_d_min_hz=500.0, f_d_max_hz=500.0)):
+        assert count_valid_pairs_formula(inp) > 0
+        assert valid_pair_area(inp) == 0.0
+        with pytest.raises(ValueError, match="no valid pair area"):
+            budget(inp)
 
 
 def test_inputs_validation():
