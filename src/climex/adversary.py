@@ -21,6 +21,7 @@ and is invisible to this test.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -305,12 +306,47 @@ def _circular_residuals(epoch: MeasurementEpoch, est: ParamEstimate,
     return fold(epoch.y_vec - full + half, amplitude) - half
 
 
+def _median(x: np.ndarray) -> float:
+    """``np.median`` of a finite 1-D array from one partition, bit for
+    bit: the middle values are averaged as numpy's ``mean`` does, from a
+    +0 sum, which also hides the sign of a zero, so which of two equal
+    zeros the partition puts in the middle never shows."""
+    n = x.size
+    h = n // 2
+    if n % 2:
+        return 0.0 + float(np.partition(x, h)[h])
+    part = np.partition(x, [h - 1, h])
+    return (0.0 + float(part[h - 1]) + float(part[h])) / 2.0
+
+
+def _quantile(x: np.ndarray, q: float) -> float:
+    """``np.quantile(x, q)`` (method "linear") of a finite 1-D array
+    from one partition, bit for bit: numpy's own partition points (they
+    decide which of two equal zeros lands where, and a zero's sign can
+    survive the interpolation), then its ``_lerp`` of the two order
+    statistics around (n - 1) q, which takes the upper one's side from
+    gamma = 1/2 on."""
+    n = x.size
+    v = (n - 1) * q
+    lo = hi = -1
+    if v < n - 1:
+        lo = math.floor(v)
+        hi = lo + 1
+    part = np.partition(x, sorted({0, -1, lo, hi}))
+    a, b = float(part[lo]), float(part[hi])
+    gamma = v - lo
+    diff = b - a
+    if gamma >= 0.5:
+        return b - diff * (1.0 - gamma)
+    return a + diff * gamma
+
+
 def mad_deviations(r: np.ndarray):
     """Absolute deviations of ``r`` about its median, and their median
     absolute deviation scaled to a normal sigma.  Returns
     ``(deviations, sigma_hat)``."""
-    dev = np.abs(r - np.median(r))
-    return dev, CONSISTENCY_CONSTANT * float(np.median(dev))
+    dev = np.abs(r - _median(r))
+    return dev, CONSISTENCY_CONSTANT * _median(dev)
 
 
 def detect_outliers(epoch: MeasurementEpoch, est: ParamEstimate,
@@ -352,7 +388,7 @@ def robust_parameter_fit(epoch: MeasurementEpoch, consts: ProtocolConstants, *,
                        delta_vec=delta_vec)
     dev, _ = mad_deviations(_circular_residuals(epoch, est0, consts,
                                                 amplitude, delta_vec))
-    keep = dev <= np.quantile(dev, 1.0 - trim)
+    keep = dev <= _quantile(dev, 1.0 - trim)
     est1 = grid_search(epoch, consts, amplitude=amplitude, grid=grid,
                        delta_vec=delta_vec, sample_mask=keep)
     return est1, keep

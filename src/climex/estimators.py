@@ -49,16 +49,26 @@ reduced exactly to the nearest whole cycle, then looked up in a
 :func:`_unit_phasors`), within 3e-15 of the exp at about a third of
 its cost.
 
-The short refine ladder around the coarse pick steps a running phasor.
-It starts from the coarse ladder's own sample phasors, moved to the
-window's first frequency by a running product [1, z, z^2, ...] along
-the comb, and each step multiplies by the plan's step phasor, itself a
-running product; no complex exp is taken over the comb for either.
+The short refine window around the coarse pick, K frequencies at step
+s = (df / refine) t_m cycles per ping, is a blocked two-level DFT of
+the same sample phasors (see :func:`_window_mags`).  With B =
+ceil(sqrt(N)) and ping j = B b + r, the phasor exp(-2 pi i s j k)
+splits into inner[r, k] = exp(-2 pi i s r k) and outer[b, k] =
+exp(-2 pi i s B b k), two tables of B x K and ceil(N / B) x K in the
+ladder plan.  The window is then one complex matrix product of the
+phasors, viewed as a floor(N / B) x B block (the N mod B tail pings
+are one more small product), and one vector product, in place of K
+Python steps over the comb.  Only the B + ceil(N / B) start phasors
+that move the tables to the window's first frequency take a complex
+exp per fit.  The tables hold the default window's 21 columns; a
+wider window runs in chunks of 21, so the refine stage never holds
+more than a few sqrt(N) x 21 phasors.
 
 The rule that keeps the outputs exact: p0 and everything built from it
-(the coarse and refine magnitudes) feed nothing but two argmax calls,
-so their rounding matters only where two candidates tie to within it;
-a test holds the picks equal to a stepping loop from fresh exps.  The
+(the coarse and refine magnitudes, BLAS's rounding in the window's
+matrix product included) feed nothing but two argmax calls, so their
+rounding matters only where two candidates tie to within it; a test
+holds the picks equal to a stepping loop from fresh exps.  The
 continuous outputs are another matter: phi, rho and the noise readback
 come from :func:`_circular_level` and the readout at the picked
 frequency, whose rounding reaches the printed fit, so that path keeps
@@ -66,13 +76,14 @@ its exact expressions (a complex exp, not the table) and the outputs
 stay bit for bit the same.
 
 The choice of ladder, the Bluestein chirp, the kernel's spectrum and
-the refine step phasor depend only on the comb and the grid, (t_m, N,
-df, K, df / refine), not on the samples.  A fit takes them from a small
+the refine tables depend only on the comb and the grid, (t_m, N, df,
+K, df / refine), not on the samples.  A fit takes them from a small
 memo, the ladder plan, which keeps the two most recently used keys
 (enough for the 10^4-ping estimate comb and the 200-ping detection
-comb); a masked refit indexes the refine phasor with its mask.  The
-arrays are built by the same expressions either way, so a fit is bit
-for bit the same from a fresh or a reused plan.
+comb); a masked refit zeroes the dropped pings' phasors in place, so
+the blocks keep their shape.  The arrays are built by the same
+expressions either way, so a fit is bit for bit the same from a fresh
+or a reused plan.
 
 Phase stage.  At the selected frequency the resultant angle xi of the
 sample phasors locates the epoch's constant level on the fold circle,
@@ -88,6 +99,7 @@ lattice (rational f_d t_m).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -195,11 +207,15 @@ def model_fold_values(t_vec, f_d: float, phi: float, amplitude: float,
 
 def dither_cycles(delta_vec, consts: ProtocolConstants, n: int):
     """A known per-ping dither (s) in cycles of the nominal period,
-    broadcast to ``n`` pings; 0.0 without one."""
+    a scalar broadcast to ``n`` pings; 0.0 without one.  An array that
+    is not ``n`` long is refused with a ValueError naming it."""
     if delta_vec is None:
         return 0.0
-    d = np.broadcast_to(np.asarray(delta_vec, dtype=float), (n,))
-    return d / (1.0 / consts.f_nominal)
+    d = np.asarray(delta_vec, dtype=float)
+    if d.ndim and d.shape != (n,):
+        raise ValueError(f"delta_vec has shape {d.shape}, not the "
+                         f"epoch's ({n},)")
+    return np.broadcast_to(d, (n,)) / (1.0 / consts.f_nominal)
 
 
 # ======================================================================
@@ -282,38 +298,6 @@ def _circular_level(t, y, dphase, a, f):
         r = 1.0 / y.size
     sigma = (a / _TWO_PI) * np.sqrt(-2.0 * np.log(r))
     return xi, float(sigma)
-
-
-def _stepped_mags(cur, step, count):
-    """|R| on a uniform frequency ladder of count points, by stepping.
-
-    ``cur`` holds the sample phasors at the first frequency and is
-    stepped in place; ``step`` holds exp(-2 pi i f_step t) on the same
-    samples.  The rounding accumulated over a few dozen steps is far
-    below the noise contrast the magnitudes are compared at, and the
-    magnitudes feed only an argmax.
-    """
-    mags = np.empty(count)
-    mags[0] = abs(cur.sum())
-    for k in range(1, count):
-        cur *= step
-        mags[k] = abs(cur.sum())
-    return mags
-
-
-def _geometric(z, n):
-    """[1, z, z^2, ..., z^(n-1)] by a running product.
-
-    On the comb t_j = t_m j this stands in for exp(-2 pi i f t_j) with
-    z = exp(-2 pi i f t_m), at a fraction of the cost of a complex exp.
-    Its rounding grows with j: against the exp it is off by at most
-    4e-13 at 10^4 pings for the 0.1 Hz refine step and 3e-12 for a
-    2 kHz shift, ten times that at 10^5, which no argmax over a ladder
-    sees outside a near tie.
-    """
-    g = np.full(n, z, dtype=complex)
-    g[0] = 1.0
-    return np.cumprod(g, out=g)
 
 
 def _fast_len(m):
@@ -427,7 +411,7 @@ def _unit_phasors(x):
     # a negative k counts from the end of the table, as it should
     p = _UNIT_TABLE.take(d2.astype(np.int64))
     np.multiply(d, d, out=d2)
-    step = np.empty(d.size, dtype=complex)
+    step = np.empty(d.shape, dtype=complex)
     cos, sin = step.real, step.imag
     np.multiply(d2, _COS4, out=cos)
     cos -= _COS2
@@ -454,7 +438,26 @@ class _LadderPlan(NamedTuple):
     size: int                  # M on a DFT-aligned comb, else Bluestein's L
     chirp: np.ndarray | None   # conjugate Bluestein chirp on the n pings
     kernel_hat: np.ndarray | None  # FFT of the Bluestein kernel, length L
-    refine_step: np.ndarray    # exp(-2 pi i (df / refine) t) on the comb
+    inner: np.ndarray          # refine table, B x _WINDOW_COLS
+    outer: np.ndarray          # refine table, ceil(n / B) x _WINDOW_COLS
+
+
+# the refine tables' width: the default window, +-df at refine 10; a
+# wider window runs in chunks of this many frequencies
+_WINDOW_COLS = 2 * SearchGrid.refine + 1
+
+
+def _window_tables(s, n):
+    """The step-phasor powers of the blocked refine window at step s =
+    (df / refine) t_m cycles per ping: with B = ceil(sqrt(n)) and ping j
+    = B b + r, inner[r, k] = exp(-2 pi i s r k) and outer[b, k] =
+    exp(-2 pi i s B b k), whose product is exp(-2 pi i s j k).  Each
+    phase is one rounding of s times the exact integer r k or B b k."""
+    size = math.isqrt(n - 1) + 1
+    k = np.arange(_WINDOW_COLS, dtype=float)
+    inner = np.multiply.outer(np.arange(size, dtype=float), k)
+    outer = np.multiply.outer(np.arange(0, n, size, dtype=float), k)
+    return _unit_phasors(inner * -s), _unit_phasors(outer * -s)
 
 
 @functools.lru_cache(maxsize=2)
@@ -464,6 +467,8 @@ def _ladder_plan(t_m, n, df, n_coarse, refine_step) -> _LadderPlan:
 
     A DFT-aligned comb (see :func:`_dft_len`) holds its length M and no
     chirp or kernel; any other the Bluestein arrays and their length L.
+    Either holds the refine window's two tables (see
+    :func:`_window_tables`), about 2 sqrt(n) x 21 phasors.
     Two entries hold the two combs one process fits (10^4 pings for
     estimates and sweeps, 200 for detection); a comb whose t_m is itself
     an estimate (the listener's slope) misses and pays today's cost.
@@ -472,12 +477,48 @@ def _ladder_plan(t_m, n, df, n_coarse, refine_step) -> _LadderPlan:
     m = _dft_len(df * t_m, n, n_coarse)
     chirp, kernel_hat = ((None, None) if m is not None
                          else _bluestein(df * t_m, n, n_coarse))
-    plan = _LadderPlan(m or kernel_hat.size, chirp, kernel_hat, _geometric(
-        np.exp(-1j * _TWO_PI * refine_step * t_m), n))
+    plan = _LadderPlan(m or kernel_hat.size, chirp, kernel_hat,
+                       *_window_tables(refine_step * t_m, n))
     for arr in plan[1:]:
         if arr is not None:
             arr.flags.writeable = False
     return plan
+
+
+def _window_mags(p, shift, step, count, plan):
+    """|R_k|, k = 0 .. count - 1, on the refine window shift + step k
+    (in cycles per ping, from the frequency of the sample phasors p),
+    as a blocked two-level DFT.  With ping j = B b + r,
+
+        R_k = sum_b row_b outer[b, k] sum_r p[B b + r] col_r inner[r, k],
+
+    where col_r = exp(-2 pi i shift r) and row_b = exp(-2 pi i shift B b)
+    move the plan's tables to the window's start: one matrix product of
+    p, seen as a floor(n / B) x B block, against col times inner, one
+    small product for the n mod B tail pings, then one vector product
+    with row.  A window wider than the tables runs in chunks of their
+    width, each from the start phasors of its own first frequency.
+    """
+    n = p.size
+    size, cols = plan.inner.shape
+    full = n - n % size
+    head = p[:full].reshape(-1, size)
+    r = np.arange(size)
+    j0 = np.arange(0, n, size)             # first ping of each block
+    mags = np.empty(count)
+    for k0 in range(0, count, cols):
+        kc = min(cols, count - k0)
+        ang = -_TWO_PI * (shift + step * k0)
+        col = np.exp(1j * ang * r)
+        row = np.exp(1j * ang * j0)
+        inner = plan.inner[:, :kc] * col[:, None]
+        q = np.empty((row.size, kc), dtype=complex)
+        np.matmul(head, inner, out=q[:head.shape[0]])
+        if full < n:
+            np.matmul(p[full:], inner[:n - full], out=q[-1])
+        q *= plan.outer[:, :kc]
+        mags[k0:k0 + kc] = np.abs(row @ q)
+    return mags
 
 
 def _ladder_mags(p0, weight, count, plan):
@@ -522,11 +563,12 @@ def grid_search(epoch: MeasurementEpoch, consts: ProtocolConstants, *,
 
     The coarse ladder is one FFT on a DFT-aligned ping comb and one
     Bluestein chirp-z transform on any other (a mask gives dropped pings
-    zero weight); the refine window steps a running phasor.  See the
+    zero weight); the refine window is one blocked DFT product.  See the
     module docstring.
 
-    Raises ValueError with fewer than two usable samples, or when the
-    coarse ladder spans the alias period 1 / t_m.
+    Raises ValueError with fewer than two usable samples, when the
+    coarse ladder spans the alias period 1 / t_m, or when
+    ``sample_mask`` or ``delta_vec`` is not the epoch's length.
     """
     if grid is None:
         grid = SearchGrid()
@@ -537,6 +579,9 @@ def grid_search(epoch: MeasurementEpoch, consts: ProtocolConstants, *,
     dphase = dither_cycles(delta_vec, consts, t.size)
     keep = (None if sample_mask is None
             else np.asarray(sample_mask, dtype=bool))
+    if keep is not None and keep.shape != t.shape:
+        raise ValueError(f"sample_mask has shape {keep.shape}, not the "
+                         f"epoch's {t.shape}")
     if (t.size if keep is None else np.count_nonzero(keep)) < 2:
         raise ValueError("grid search needs at least two usable samples")
 
@@ -554,22 +599,22 @@ def grid_search(epoch: MeasurementEpoch, consts: ProtocolConstants, *,
     at_edge = i_c in (0, n_coarse - 1)
 
     # +-df around the coarse pick; interior picks have grid points as
-    # neighbours so only boundary picks need one-sided windows.  The
-    # window's start phasors are the coarse ladder's, shifted along the
-    # comb by a running product.
+    # neighbours so only boundary picks need one-sided windows.  Dropped
+    # pings keep their place in the blocks with a zero phasor.
     k_lo = -grid.refine if i_c > 0 else 0
     k_hi = grid.refine if i_c < n_coarse - 1 else 0
     f_start = f_c + step * k_lo
-    cur *= _geometric(np.exp(-1j * _TWO_PI * (f_start - grid.f_lo)
-                             * epoch.t_m), t.size)
-    step_phasor = plan.refine_step
     if keep is not None:
-        t, y, cur, step_phasor = t[keep], y[keep], cur[keep], step_phasor[keep]
+        cur *= keep
+    i_f = int(np.argmax(_window_mags(cur, (f_start - grid.f_lo) * epoch.t_m,
+                                     step * epoch.t_m, k_hi - k_lo + 1,
+                                     plan)))
+    del cur                 # not held through the readout's temporaries
+    f_hat = f_c + step * (k_lo + i_f)
+    if keep is not None:
+        t, y = t[keep], y[keep]
         if delta_vec is not None:
             dphase = dphase[keep]
-    mags_f = _stepped_mags(cur, step_phasor, k_hi - k_lo + 1)
-    del cur                 # not held through the readout's temporaries
-    f_hat = f_c + step * (k_lo + int(np.argmax(mags_f)))
 
     # Phase/floor readout.  The resultant angle xi pins phase + floor
     # only jointly (mod a), so the floor is read from the epoch mean

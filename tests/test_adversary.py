@@ -8,6 +8,7 @@ initiator dithers its pings.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from climex import (
     ClockParams,
@@ -29,6 +30,7 @@ from climex import (
     run_climex_epoch,
     run_rtt_epoch,
 )
+from climex.adversary import _median, _quantile
 
 RHO_AE = 4.0
 RHO_BE = 2.5
@@ -255,3 +257,37 @@ def test_robust_fit_trim_validation(clock_pair, scenario, consts,
     with pytest.raises(ValueError):
         robust_parameter_fit(ep, consts, amplitude=1.0 / consts.f_nominal,
                              trim=0.5)
+
+
+# finite float64 values with ties, both zeros and subnormals, small
+# enough that a sum of two stays finite (numpy warns on the overflow)
+_STAT_VALUES = st.one_of(
+    st.floats(-1e307, 1e307),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.0, -1.0]),
+    st.integers(-3, 3).map(float))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.lists(_STAT_VALUES, min_size=16, max_size=10_000).map(np.array),
+       trim=st.floats(0.0, 0.5, exclude_max=True))
+@example(x=np.array([-0.0] * 16), trim=0.0)
+@example(x=np.array([-0.0] * 17), trim=0.05)
+@example(x=np.array([0.0, -0.0] * 8 + [5e-324]), trim=0.25)
+@example(x=np.random.default_rng(0).normal(size=10_000), trim=0.05)
+# the quantile's partition points decide which zero lands next to a
+# subnormal; gamma = 1/2 exactly takes the upper side of the lerp
+@example(x=np.random.default_rng(30).choice([0.0, -0.0, 5e-324, -5e-324, 1.0],
+                                            22), trim=0.3)
+@example(x=np.random.default_rng(34).normal(size=21), trim=0.025)
+@example(x=np.random.default_rng(1).integers(-2, 3, 9_999).astype(float),
+         trim=0.4999)
+def test_partition_statistics_are_numpys_bit_for_bit(x, trim):
+    # the MAD's median and the trimmed refit's quantile, each from one
+    # partition, equal np.median and np.quantile(method="linear") in
+    # every bit (the sign of a zero included); x is not written
+    x.flags.writeable = False
+    q = 1.0 - trim
+    assert (np.float64(_median(x)).tobytes()
+            == np.float64(np.median(x)).tobytes())
+    assert (np.float64(_quantile(x, q)).tobytes()
+            == np.float64(np.quantile(x, q, method="linear")).tobytes())

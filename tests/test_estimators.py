@@ -9,6 +9,7 @@ observed values but stay well inside the documented targets.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,7 @@ from climex.estimators import (
     _ladder_plan,
     _sample_phasors,
     _unit_phasors,
+    _window_mags,
     dither_cycles,
 )
 from climex.protocol_sim import run_exchange
@@ -101,9 +103,15 @@ def _chirp_z_mags(t, y, dphase, a, f_start, f_step, count, weight=None):
 
 def _bluestein_plan(c, n, count):
     """A ladder plan on Bluestein's path at chirp step c, whatever the
-    comb (no refine step)."""
+    comb (no refine tables)."""
     chirp, kernel_hat = _bluestein(c, n, count)
-    return _LadderPlan(kernel_hat.size, chirp, kernel_hat, None)
+    return _LadderPlan(kernel_hat.size, chirp, kernel_hat, None, None)
+
+
+def _fft_plan(m):
+    """A ladder plan on the DFT-aligned path of length m (no refine
+    tables)."""
+    return _LadderPlan(m, None, None, None, None)
 
 
 # ----------------------------------------------------------------------
@@ -247,6 +255,41 @@ def test_chirp_z_ladder_past_exact_chirp_angles(n):
         assert np.max(np.abs(czt - loop)) <= 1.3e-11 * np.max(loop)
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 3000),
+       count=st.integers(1, 250),
+       log_step=st.floats(-7.0, -3.0),
+       shift=st.floats(-0.5, 0.5),
+       seed=st.integers(0, 2**32 - 1),
+       locked=st.booleans(),
+       masked=st.booleans())
+# n mod B = 5 tail pings (B = 15); 10^4 + 1 pings (B = 101, a 2-ping
+# tail); a prime n; a window of several 21-column chunks
+@example(n=200, count=21, log_step=-5.0, shift=0.37, seed=0, locked=True,
+         masked=True)
+@example(n=10_001, count=21, log_step=-5.0, shift=0.37, seed=1, locked=True,
+         masked=True)
+@example(n=997, count=11, log_step=-5.0, shift=-0.2, seed=2, locked=False,
+         masked=False)
+@example(n=3000, count=201, log_step=-6.0, shift=0.3699, seed=3,
+         locked=True, masked=True)
+def test_refine_window_matches_loop(n, count, log_step, shift, seed, locked,
+                                    masked):
+    # the blocked window's magnitudes, zero phasors for dropped pings,
+    # meet the stepping loop's over the kept pings
+    step = 10.0 ** log_step
+    y, dphase, a, keep = _ladder_inputs(seed, n, locked)
+    if not masked:
+        keep[:] = True
+    t = np.arange(n, dtype=float)          # t_m = 1: frequencies in cycles
+    p = _sample_phasors(t, y, dphase, a, 0.0) * keep
+    plan = _ladder_plan(1.0, n, 1.0, 1, step)
+    win = _window_mags(p, shift, step, count, plan)
+    loop = resultant_mags(t[keep], y[keep], dphase[keep], a, shift, step,
+                          count)
+    assert np.max(np.abs(win - loop)) <= 1e-9 * np.max(loop)
+
+
 def test_fast_len_is_scipys_complex_fast_length():
     # the Bluestein length: the smallest 11-smooth integer at or above m
     ms = list(range(1, 20_001)) + [99_991, 100_000, 100_001, 100_352,
@@ -299,7 +342,7 @@ def test_fft_ladder_is_the_chirp_z_ladder_on_aligned_combs(m, fill, reach,
     y, dphase, a, keep = _ladder_inputs(seed, n, locked)
     p0 = _sample_phasors(tau * np.arange(n), y, dphase, a, lo / tau)
     weight = keep if masked else None
-    fft = _ladder_mags(p0, weight, count, _LadderPlan(m, None, None, None))
+    fft = _ladder_mags(p0, weight, count, _fft_plan(m))
     czt = _ladder_mags(p0, weight, count, _bluestein_plan(1.0 / m, n, count))
     assert np.max(np.abs(fft - czt)) <= 1e-12 * n
     assume(not _near_tie(czt))
@@ -342,6 +385,23 @@ def _near_tie(mags):
 @example(n=100_000, log_tm=-3.9999995, span=0.002 * (1 + 1.23e-7),
          lo=-0.0005, count=201, refine=10, lock=0.52, seed=4, masked=False,
          dithered=True)
+# the blocked refine window: n mod B = 5 pings in the tail block (B = 15)
+# with 3 of them masked; 10^4 + 1 pings (B = 101, a 2-ping tail, one
+# masked); a prime n (997, B = 32)
+@example(n=200, log_tm=-4.0, span=0.2, lo=-0.1, count=201, refine=10,
+         lock=0.37, seed=3, masked=True, dithered=True)
+@example(n=10_001, log_tm=-4.0, span=0.2, lo=-0.1, count=201, refine=10,
+         lock=0.52, seed=4, masked=True, dithered=False)
+@example(n=997, log_tm=-4.0, span=0.3, lo=-0.2, count=301, refine=7,
+         lock=0.61, seed=8, masked=False, dithered=True)
+# one-sided windows at both grid edges
+@example(n=2000, log_tm=-4.0, span=0.2, lo=-0.1, count=201, refine=10,
+         lock=0.0, seed=9, masked=True, dithered=False)
+@example(n=2000, log_tm=-4.0, span=0.2, lo=-0.1, count=201, refine=10,
+         lock=1.0, seed=10, masked=False, dithered=True)
+# a 201-point window, ten chunks of the tables' 21 columns
+@example(n=10_000, log_tm=-4.0, span=0.2, lo=-0.1, count=201, refine=100,
+         lock=0.44, seed=11, masked=True, dithered=True)
 def test_grid_search_picks_are_the_stepping_loops(n, log_tm, span, lo, count,
                                                   refine, lock, seed, masked,
                                                   dithered):
@@ -399,45 +459,46 @@ def test_grid_search_picks_are_the_stepping_loops(n, log_tm, span, lo, count,
 
 def _cold_and_warm(monkeypatch, epoch, consts, **kw):
     # the warm fit must find its plan in the memo and build no chirp,
-    # kernel spectrum or refine step of its own: its one running product
-    # is the refine window's start, and the refine loop steps by the
-    # plan's phasor (a cold fit builds the step as a second product)
+    # kernel spectrum or refine table of its own: its one table-phasor
+    # call is the sample phasors, and its refine window reads the plan's
+    # two tables (a cold fit builds them as two more table-phasor calls);
+    # a masked fit zeroes its dropped pings in place, keeping all n
     _ladder_plan.cache_clear()
     cold = grid_search(epoch, consts, **kw)
     before = _ladder_plan.cache_info()
-    calls, steps = [], []
+    calls, windows = [], []
 
     def no_bluestein(*args):
         raise AssertionError("warm fit built a chirp")
 
-    def geometric(*args):
-        calls.append("geometric")
-        return real_geometric(*args)
+    def unit_phasors(x):
+        calls.append("phasors")
+        return real_phasors(x)
 
-    def refine(cur, step, count):
-        calls.append("refine")
-        steps.append(step)
-        return real_refine(cur, step, count)
+    def window(p, shift, step, count, plan):
+        calls.append("window")
+        windows.append((p.copy(), plan))
+        return real_window(p, shift, step, count, plan)
 
-    real_geometric = estimators._geometric
-    real_refine = estimators._stepped_mags
+    real_phasors = estimators._unit_phasors
+    real_window = estimators._window_mags
     with monkeypatch.context() as m:
         m.setattr(estimators, "_bluestein", no_bluestein)
-        m.setattr(estimators, "_geometric", geometric)
-        m.setattr(estimators, "_stepped_mags", refine)
+        m.setattr(estimators, "_unit_phasors", unit_phasors)
+        m.setattr(estimators, "_window_mags", window)
         warm = grid_search(epoch, consts, **kw)
     after = _ladder_plan.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-    assert calls == ["geometric", "refine"], "warm fit built a refine step"
+    assert calls == ["phasors", "window"], "warm fit built a refine table"
     grid = SearchGrid()
-    plan_step = _ladder_plan(epoch.t_m, epoch.n, grid.df,
-                             grid.freq_values().size,
-                             grid.df / grid.refine).refine_step
+    plan = _ladder_plan(epoch.t_m, epoch.n, grid.df, grid.freq_values().size,
+                        grid.df / grid.refine)
+    p, used = windows[0]
+    assert used.inner is plan.inner and used.outer is plan.outer
+    assert p.size == epoch.n
     mask = kw.get("sample_mask")
-    if mask is None:
-        assert steps[0] is plan_step
-    else:
-        assert steps[0].tobytes() == plan_step[mask].tobytes()
+    if mask is not None:
+        assert not p[~mask].any() and np.all(p[mask] != 0.0)
     return cold, warm
 
 
@@ -488,11 +549,21 @@ def test_each_comb_gets_its_own_plan(clock_pair, scenario, consts,
 
 def test_ladder_plan_is_read_only_and_holds_two_combs():
     assert _ladder_plan.cache_info().maxsize == 2
-    # a Bluestein plan holds three arrays, an aligned one the refine step
-    for n, arrays in ((300, 3), (10_000, 1)):
+    # a Bluestein plan holds four arrays, an aligned one the two refine
+    # tables: B = ceil(sqrt(n)) rows of inner and ceil(n / B) of outer,
+    # each as wide as the default window, whose products are the powers
+    # of the step phasor on the comb
+    for n, arrays, rows in ((300, 4, (18, 17)), (10_000, 2, (100, 100))):
         plan = _ladder_plan(1.0e-4, n, 1.0, 2001, 0.1)
         held = [arr for arr in plan if isinstance(arr, np.ndarray)]
         assert len(held) == arrays
+        assert plan.inner.shape == (rows[0], 21)
+        assert plan.outer.shape == (rows[1], 21)
+        j = rows[0] * np.arange(rows[1])[:, None] + np.arange(rows[0])
+        k = np.arange(21)
+        prod = plan.outer[:, None, :] * plan.inner[None, :, :]
+        want = np.exp(-2j * np.pi * 1.0e-5 * j[:, :, None] * k)
+        assert np.max(np.abs(prod - want)) <= 1e-14
         for arr in held:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
@@ -546,7 +617,7 @@ def test_alignment_slip_bound_at_its_edge():
     tau = 1.0e-4
     y, dphase, a, _ = _ladder_inputs(11, n, locked=True)
     p0 = _sample_phasors(tau * np.arange(n), y, dphase, a, 0.0)
-    fft = _ladder_mags(p0, None, count, _LadderPlan(m, None, None, None))
+    fft = _ladder_mags(p0, None, count, _fft_plan(m))
     exact = _ladder_mags(p0, None, count, _bluestein_plan(c, n, count))
     bound = (2.0 * np.pi * _ALIGN_SLIP + 1e-12) * n
     assert np.max(np.abs(fft - exact)) <= bound
@@ -720,6 +791,56 @@ def test_sample_mask_excludes_corruption(clock_pair, scenario, consts,
                       sample_mask=mask)
     assert abs(est.f_d_hat - 500.3) < 0.05
     assert abs(est.rho_hat - 3.0) < 0.01
+
+
+def test_grid_search_refuses_bad_shapes_by_name(clock_pair, scenario, consts,
+                                               zero_noise):
+    # a mask or a dither that is not the epoch's length is named, not
+    # left to a broadcast error deep in the fit
+    ini, res = clock_pair(500.3)
+    ep, _ = run_rtt_epoch(ini, res, scenario(n_pings=200, seed=11),
+                          consts, zero_noise)
+    amp = 1.0 / consts.f_nominal
+    for shape in (199, 201, (2, 100)):
+        with pytest.raises(ValueError, match="sample_mask has shape"):
+            grid_search(ep, consts, amplitude=amp,
+                        sample_mask=np.ones(shape, dtype=bool))
+    with pytest.raises(ValueError, match="delta_vec has shape"):
+        grid_search(ep, consts, amplitude=amp, delta_vec=np.zeros(199))
+    # a scalar dither still stands for every ping
+    assert (grid_search(ep, consts, amplitude=amp, delta_vec=0.0)
+            == grid_search(ep, consts, amplitude=amp,
+                           delta_vec=np.zeros(200)))
+
+
+def test_wide_refine_window_runs_in_bounded_memory():
+    # refine = 1000 on the default comb is a 2001-point window, run in
+    # chunks of the tables' 21 columns: its warm fit allocates no more
+    # at its peak than the default window's (1 KB covers a few Python
+    # ints; one n-long complex array would be 160 KB), and its picks are
+    # the stepping loop's
+    s = build_setup(dict(DEFAULTS))
+    epoch, _ = run_exchange(s.initiator, s.responder, s.scenario, s.consts,
+                            s.noise)
+    wide = SearchGrid(refine=1000)
+    peaks = {}
+    for grid in (SearchGrid(), wide):
+        grid_search(epoch, s.consts, grid=grid)         # plan in the memo
+        tracemalloc.start()
+        try:
+            est = grid_search(epoch, s.consts, grid=grid)
+            peaks[grid.refine] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[1000] <= peaks[10] + 1024
+
+    t, y, a = epoch.t_vec, epoch.y_vec, 1.0 / s.consts.f_nominal
+    coarse = resultant_mags(t, y, 0.0, a, wide.f_lo, wide.df, 2001)
+    f_c = wide.f_lo + wide.df * int(np.argmax(coarse))
+    step = wide.df / wide.refine
+    fine = resultant_mags(t, y, 0.0, a, f_c - wide.df, step, 2001)
+    assert not _near_tie(coarse) and not _near_tie(fine)
+    assert est.f_d_hat == f_c + step * (int(np.argmax(fine)) - 1000)
 
 
 def test_grid_search_refuses_aliased_grid(clock_pair, scenario, consts,
