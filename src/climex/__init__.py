@@ -19,11 +19,9 @@ from .protocol_sim import (
     CausalityError,
     ProtocolOverrunError,
     ScenarioConfig,
-    effective_ping_interval,
     first_edge_at_or_after,
-    ideal_epoch_phase,
+    latch_gap,
     measure_phi_test_local,
-    phase_to_next_edge,
     ping_decimation,
     replay_dither,
     run_climex_epoch,

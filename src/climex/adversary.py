@@ -33,7 +33,7 @@ from .estimators import (
     grid_search,
     model_fold_values,
 )
-from .protocol_sim import ArrivalLog, cycles_to_next_edge
+from .protocol_sim import ArrivalLog, latch_gap, ping_decimation
 from .signal_model import (
     ClockParams,
     MeasurementEpoch,
@@ -83,12 +83,10 @@ class ShortEpochError(ValueError):
 class EveEpoch:
     """What a passive listener records during one epoch.
 
-    t_prime     her first recorded ping arrival, s
     ping_times  noisy absolute ping arrival timestamps, s
     tdoa        per-ping respond-minus-ping arrival difference, s
     """
 
-    t_prime: float
     ping_times: np.ndarray
     tdoa: np.ndarray
 
@@ -128,8 +126,7 @@ def eve_tdoa_epoch(log: ArrivalLog, rho_ae: float, rho_be: float,
     stamp_noise = g.normal(0.0, noise.sigma_outer, size=n)
     tdoa = (log.respond_emit - log.ping_emit) + (rho_be - rho_ae) / c + tdoa_noise
     ping_times = log.ping_emit + rho_ae / c + stamp_noise
-    return EveEpoch(t_prime=float(ping_times[0]), ping_times=ping_times,
-                    tdoa=tdoa)
+    return EveEpoch(ping_times=ping_times, tdoa=tdoa)
 
 
 def eve_interarrival_epoch(log: ArrivalLog, eve_clock: ClockParams,
@@ -152,8 +149,7 @@ def eve_interarrival_epoch(log: ArrivalLog, eve_clock: ClockParams,
     arr = log.ping_emit + rho_ae / log.consts.c
     latch_noise = g.normal(0.0, noise.sigma_inner, size=n)
     stamp_noise = g.normal(0.0, noise.sigma_outer, size=n)
-    t_e = eve_clock.period
-    vals = fold(t_e * cycles_to_next_edge(eve_clock, arr) + latch_noise, t_e)
+    vals = latch_gap(eve_clock, arr, latch_noise)
     rec = arr + stamp_noise
     slope, icpt = _comb_fit(rec)
     return MeasurementEpoch(t_prime=float(icpt), t_m=slope, y_vec=vals)
@@ -183,10 +179,7 @@ def eve_estimate_rtt(epoch: EveEpoch, consts: ProtocolConstants,
     drawn from a featureless cost surface.
     """
     slope, icpt = _comb_fit(epoch.ping_times)
-    m = int(round(slope * consts.f_nominal))
-    if m < 1:
-        raise ValueError("ping comb spacing is shorter than a clock period")
-    f_a_hat = m / slope
+    f_a_hat = ping_decimation(slope, consts) / slope
     fit_epoch = MeasurementEpoch(t_prime=icpt, t_m=slope, y_vec=epoch.tdoa)
     est = grid_search(fit_epoch, consts, grid=grid)
     f_b_hat = f_a_hat - est.f_d_hat
@@ -213,6 +206,15 @@ class InjectionPlan:
     w_seed: int
 
 
+def _attack_slots(log: ArrivalLog, n_attack: int, g) -> np.ndarray:
+    """The ``n_attack`` ping slots a plan forges, drawn without
+    replacement from ``g`` and sorted."""
+    n = log.ping_emit.size
+    if not 0 < n_attack <= n:
+        raise ValueError("n_attack must be in [1, n_pings]")
+    return np.sort(g.choice(n, size=n_attack, replace=False))
+
+
 def make_random_timing_plan(log: ArrivalLog, rho_ae: float, n_attack: int,
                             rng=None) -> InjectionPlan:
     """Respond-looking pulses at plausible but blind delays.
@@ -224,10 +226,7 @@ def make_random_timing_plan(log: ArrivalLog, rho_ae: float, n_attack: int,
     per-slot outcome is settled at remeasurement.
     """
     g = as_generator(rng)
-    n = log.ping_emit.size
-    if not 0 < n_attack <= n:
-        raise ValueError("n_attack must be in [1, n_pings]")
-    idx = np.sort(g.choice(n, size=n_attack, replace=False))
+    idx = _attack_slots(log, n_attack, g)
     hear = log.ping_emit[idx] + rho_ae / log.consts.c
     emit = hear + g.uniform(0.0, log.consts.delta_0 / 2.0, size=n_attack)
     w_seed = int(g.integers(2**63))
@@ -244,10 +243,7 @@ def make_oracle_plan(log: ArrivalLog, rho_ae: float, n_attack: int,
     them, on-model up to the lead and the fresh receive noise.
     """
     g = as_generator(rng)
-    n = log.ping_emit.size
-    if not 0 < n_attack <= n:
-        raise ValueError("n_attack must be in [1, n_pings]")
-    idx = np.sort(g.choice(n, size=n_attack, replace=False))
+    idx = _attack_slots(log, n_attack, g)
     emit = log.respond_arrive[idx] - _ORACLE_LEAD_S - rho_ae / log.consts.c
     w_seed = int(g.integers(2**63))
     return InjectionPlan(indices=idx, emit_times=emit, rho_ea=rho_ae,

@@ -10,6 +10,7 @@ estimation errors), 2 configuration or usage errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -36,7 +37,7 @@ from .protocol_sim import (
 from .secrecy import (KeyRangeError, budget, count_valid_pairs_formula,
                       valid_pair_area)
 from .signal_model import MeasurementEpoch
-from .sweep import log_spaced_values, run_sweep
+from .sweep import SweepRow, log_spaced_values, run_sweep
 
 __all__ = ["main"]
 
@@ -466,11 +467,9 @@ def cmd_sweep(args) -> int:
     rows = run_sweep(cfg, values, args.trials, timing=args.timing)
     header = ["f_d_true_hz,trial,seed,f_d_err_hz,phi_test_err_rad,"
               "rho_err_m,runtime_s"]
-    fields = ("f_d_true", "trial", "seed", "f_d_err", "phi_test_err",
-              "rho_err", "runtime")
     _write_table(header, (_FLOAT, "%d", "%d") + (_FLOAT,) * 4,
-                 [[getattr(r, name) for r in rows] for name in fields],
-                 args.out)
+                 [[getattr(r, f.name) for r in rows]
+                  for f in dataclasses.fields(SweepRow)], args.out)
     return 0
 
 
@@ -490,24 +489,8 @@ def cmd_budget(args) -> int:
     if valid_pair_area(b) <= 0.0:
         raise ConfigError(f"no valid pair area: {lottery} area {window}")
     rep = budget(b)
-    lines = [
-        f"n_freq_values = {rep.n_freq}",
-        f"pair_count_exact = {rep.pair_count}",
-        f"pair_count_area = {rep.pair_area:.6f}",
-        f"log2_pairs_exact = {rep.log2_pairs:.6f}",
-        f"log2_pairs_area = {rep.log2_pairs_area:.6f}",
-        f"bits_f = {rep.bits_f}",
-        f"n_phi_states = {rep.n_phi_states:.6f}",
-        f"log2_phi = {rep.log2_phi:.6f}",
-        f"bits_phi = {rep.bits_phi}",
-        f"n_rho_states = {rep.n_rho_states:.6f}",
-        f"log2_rho = {rep.log2_rho:.6f}",
-        f"bits_rho = {rep.bits_rho}",
-        f"bits_total_floor = {rep.bits_total_floor}",
-        f"bits_total_rounded = {rep.bits_total_rounded}",
-        f"log2_total_exact = {rep.log2_total:.6f}",
-        f"log2_total_area = {rep.log2_total_area:.6f}",
-    ]
+    lines = [f"{name} = {v}" if isinstance(v, int) else f"{name} = {v:.6f}"
+             for name, v in dataclasses.asdict(rep).items()]
     _write_lines(lines, args.out)
     return 0
 

@@ -90,6 +90,12 @@ _CHOICES = {
 }
 
 
+def _check_choice(key: str, value, where: str = "") -> None:
+    if value not in _CHOICES[key]:
+        raise ConfigError(f"{where}{key} must be one of "
+                          f"{', '.join(_CHOICES[key])}, got {value!r}")
+
+
 def parse_config_text(text: str) -> dict:
     """Parse overrides from config text.  Raises ConfigError with the
     offending line number on any problem."""
@@ -111,10 +117,7 @@ def parse_config_text(text: str) -> dict:
         if not value:
             raise ConfigError(f"line {lineno}: empty value for {key!r}")
         if key in _CHOICES:
-            if value not in _CHOICES[key]:
-                raise ConfigError(
-                    f"line {lineno}: {key} must be one of "
-                    f"{', '.join(_CHOICES[key])}, got {value!r}")
+            _check_choice(key, value, f"line {lineno}: ")
             out[key] = value
         elif key in _INT_KEYS:
             try:
@@ -177,7 +180,16 @@ _BUDGET_POSITIVE = ("f0_hz", "budget_ppm", "budget_f_step_hz",
 
 
 def build_setup(cfg: dict) -> RunSetup:
-    """Validate and assemble a full run setup from a config dict."""
+    """Validate and assemble a full run setup from a config dict, which
+    must hold exactly the keys of ``DEFAULTS``."""
+    for key, value in cfg.items():
+        if key not in DEFAULTS:
+            raise ConfigError(f"unknown key {key!r} = {value!r}")
+    for key in DEFAULTS:
+        if key not in cfg:
+            raise ConfigError(f"missing key {key!r}")
+    for key in _CHOICES:
+        _check_choice(key, cfg[key])
     for key in ("seed", "attack_seed"):
         if cfg[key] < 0:
             raise ConfigError(f"{key} must be a non-negative integer, "

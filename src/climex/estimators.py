@@ -39,8 +39,8 @@ comb's ladder plan:
   and 2001 frequencies, where a power of two would take 16 384), the
   lengths pocketfft transforms without a generic prime pass.
 
-A masked refit keeps the full comb and gives dropped samples zero
-weight.  On the comb R(f) repeats with period 1 / t_m, so a coarse
+A masked refit keeps the full comb and zeroes the dropped samples'
+phasors.  On the comb R(f) repeats with period 1 / t_m, so a coarse
 ladder spanning a full period holds exact alias ties and is refused.
 
 The sample phasors p0 are built without a complex exp: the phase is
@@ -425,7 +425,7 @@ def _unit_phasors(x):
 
 
 def _sample_phasors(t, y, dphase, a, f_start):
-    """The unweighted sample phasors p0 = exp(2 pi i (y / a - dphase -
+    """The sample phasors p0 = exp(2 pi i (y / a - dphase -
     f_start t)), which feed the coarse ladder and start the refine
     window."""
     ang = y / a
@@ -521,19 +521,17 @@ def _window_mags(p, shift, step, count, plan):
     return mags
 
 
-def _ladder_mags(p0, weight, count, plan):
-    """|R_k|, k = 0 .. count - 1, from the sample phasors p0 (times the
-    optional per-sample weight), zero-padded to the plan's length: bins
-    0 .. count - 1 of their DFT on a DFT-aligned comb; on any other, p0
-    times the plan's chirp, convolved with its kernel by FFT (Bluestein)."""
+def _ladder_mags(p0, count, plan):
+    """|R_k|, k = 0 .. count - 1, from the sample phasors p0, zero-padded
+    to the plan's length: bins 0 .. count - 1 of their DFT on a
+    DFT-aligned comb; on any other, p0 times the plan's chirp, convolved
+    with its kernel by FFT (Bluestein)."""
     n = p0.size
     x = np.zeros(plan.size, dtype=complex)
     if plan.chirp is None:
         x[:n] = p0
     else:
         np.multiply(p0, plan.chirp, out=x[:n])
-    if weight is not None:
-        x[:n] *= weight
     x = np.fft.fft(x, out=x)                   # in place: one buffer only
     if plan.kernel_hat is not None:
         x *= plan.kernel_hat
@@ -562,8 +560,8 @@ def grid_search(epoch: MeasurementEpoch, consts: ProtocolConstants, *,
         Restrict the fit to a subset of pings.
 
     The coarse ladder is one FFT on a DFT-aligned ping comb and one
-    Bluestein chirp-z transform on any other (a mask gives dropped pings
-    zero weight); the refine window is one blocked DFT product.  See the
+    Bluestein chirp-z transform on any other (a mask zeroes the dropped
+    pings' phasors); the refine window is one blocked DFT product.  See the
     module docstring.
 
     Raises ValueError with fewer than two usable samples, when the
@@ -592,29 +590,29 @@ def grid_search(epoch: MeasurementEpoch, consts: ProtocolConstants, *,
             f"below the alias period 1 / t_m = {1.0 / epoch.t_m:g} Hz")
     step = grid.df / grid.refine
     plan = _ladder_plan(epoch.t_m, t.size, grid.df, n_coarse, step)
+    # dropped pings keep their place in the comb with a zero phasor; the
+    # readout takes the kept samples only
     cur = _sample_phasors(t, y, dphase, a, grid.f_lo)
-    mags = _ladder_mags(cur, keep, n_coarse, plan)
+    if keep is not None:
+        cur *= keep
+        t, y = t[keep], y[keep]
+        if delta_vec is not None:
+            dphase = dphase[keep]
+    mags = _ladder_mags(cur, n_coarse, plan)
     i_c = int(np.argmax(mags))          # first occurrence: smallest f wins ties
     f_c = grid.f_lo + grid.df * i_c
     at_edge = i_c in (0, n_coarse - 1)
 
     # +-df around the coarse pick; interior picks have grid points as
-    # neighbours so only boundary picks need one-sided windows.  Dropped
-    # pings keep their place in the blocks with a zero phasor.
+    # neighbours so only boundary picks need one-sided windows.
     k_lo = -grid.refine if i_c > 0 else 0
     k_hi = grid.refine if i_c < n_coarse - 1 else 0
     f_start = f_c + step * k_lo
-    if keep is not None:
-        cur *= keep
     i_f = int(np.argmax(_window_mags(cur, (f_start - grid.f_lo) * epoch.t_m,
                                      step * epoch.t_m, k_hi - k_lo + 1,
                                      plan)))
     del cur                 # not held through the readout's temporaries
     f_hat = f_c + step * (k_lo + i_f)
-    if keep is not None:
-        t, y = t[keep], y[keep]
-        if delta_vec is not None:
-            dphase = dphase[keep]
 
     # Phase/floor readout.  The resultant angle xi pins phase + floor
     # only jointly (mod a), so the floor is read from the epoch mean

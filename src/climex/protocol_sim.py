@@ -2,9 +2,9 @@
 
 The engine realizes both exchange flavors from explicit clock edges.
 The initiator emits on every M-th edge of its oscillator; the responder
-latches each arrival against its own edge comb, scales the latched gap
-onto the public amplitude, adds the deterministic processing delay, and
-replies.  Nothing in here is fitted: this is the forward model the
+latches each arrival against its own edge comb (:func:`latch_gap`, the
+passive listener's latch too), scales the latched gap onto the public
+amplitude, adds the deterministic processing delay, and replies.  Nothing in here is fitted: this is the forward model the
 estimators are blind-tested against, so it must agree with the
 closed-form epoch models of :mod:`climex.signal_model` rather than call
 them.
@@ -18,9 +18,9 @@ modulus, so the recorded dither vector plugs directly into
 (undithered) first emission.
 
 Timestamps are absolute seconds in float64.  Phase extraction from an
-absolute time loses precision as the magnitude grows; keep scenario
-start times below roughly 1e4 s if sub-picosecond agreement with the
-closed forms matters.
+absolute time loses precision as the magnitude grows: the latched gaps
+agree with the closed forms to about 1e-12 s for scenario start times
+up to 1e3 s, and drift from there (several ps at 1e4 s).
 """
 
 from __future__ import annotations
@@ -49,11 +49,10 @@ __all__ = [
     "scenario_stream",
     "first_edge_at_or_after",
     "cycles_to_next_edge",
-    "phase_to_next_edge",
+    "latch_gap",
     "measure_phi_test_local",
-    "ideal_epoch_phase",
     "ping_decimation",
-    "effective_ping_interval",
+    "replay_dither",
     "run_exchange",
     "run_rtt_epoch",
     "run_climex_epoch",
@@ -135,25 +134,18 @@ def cycles_to_next_edge(clock: ClockParams, t):
                 - clock.f_hz * np.asarray(t, dtype=float), 1.0)
 
 
-def phase_to_next_edge(clock: ClockParams, t) -> float:
-    """Phase left until the clock's next edge, in ``[0, 2 pi)``."""
-    return _TWO_PI * cycles_to_next_edge(clock, t)
+def latch_gap(clock: ClockParams, t, noise):
+    """The wait a latch on ``clock`` adds to arrivals at ``t``, with the
+    latch's timing ``noise`` inside the modulus: in ``[0, period)``."""
+    return fold(clock.period * cycles_to_next_edge(clock, t) + noise,
+                clock.period)
 
 
-def measure_phi_test_local(clock: ClockParams, t_test: float) -> float:
-    """The locally measurable check phase: edge distance of one's own
-    clock at the agreed test time."""
-    return float(phase_to_next_edge(clock, t_test))
-
-
-def ideal_epoch_phase(responder: ClockParams, t_prime: float, rho: float,
-                      consts: ProtocolConstants) -> float:
-    """True sawtooth phase of an epoch, as the estimators define it.
-
-    This is the responder's edge-distance phase evaluated where the
-    epoch-opening ping would arrive, t_prime + rho / c.
-    """
-    return float(phase_to_next_edge(responder, t_prime + rho / consts.c))
+def measure_phi_test_local(clock: ClockParams, t: float) -> float:
+    """Phase left until the clock's next edge at ``t``, in ``[0, 2 pi)``:
+    the check phase at the agreed test time, and on the responder's clock
+    at ``t_prime + rho / c`` an epoch's true phase."""
+    return float(_TWO_PI * cycles_to_next_edge(clock, t))
 
 
 def ping_decimation(t_m: float, consts: ProtocolConstants) -> int:
@@ -162,14 +154,6 @@ def ping_decimation(t_m: float, consts: ProtocolConstants) -> int:
     if m < 1:
         raise ValueError("ping interval shorter than one clock period")
     return m
-
-
-def effective_ping_interval(initiator: ClockParams, t_m: float,
-                            consts: ProtocolConstants) -> float:
-    """Realized ping spacing: the commanded interval is counted in edges
-    of the initiator's actual oscillator, so the true spacing differs
-    from ``t_m`` by the initiator's fractional frequency offset."""
-    return ping_decimation(t_m, consts) / initiator.f_hz
 
 
 # ======================================================================
@@ -233,17 +217,16 @@ def run_exchange(initiator: ClockParams, responder: ClockParams,
         raise ValueError(f"unknown exchange kind {kind!r}")
 
     n = cfg.n_pings
-    t_b_true = 1.0 / responder.f_hz
     if kind == "rtt":
-        amplitude = t_b_true
-        scale = 1.0
+        amplitude = responder.period
         delta = np.zeros(n)
     else:
         amplitude = consts.a_scale
-        scale = consts.a_scale / t_b_true
         delta = replay_dither(cfg, consts)
+    scale = amplitude / responder.period
 
-    t_m_eff = effective_ping_interval(initiator, cfg.t_m, consts)
+    # t_m is counted in edges of the initiator's own (offset) oscillator
+    t_m_eff = ping_decimation(cfg.t_m, consts) / initiator.f_hz
     e0 = first_edge_at_or_after(initiator, cfg.t_start)
     idx = np.arange(n, dtype=float)
     ping_nominal = e0 + t_m_eff * idx
@@ -255,8 +238,7 @@ def run_exchange(initiator: ClockParams, responder: ClockParams,
     n_in, w_out = draw_epoch_noise(n, noise,
                                    scenario_stream(cfg.seed, NOISE_SLOT))
 
-    gap = fold(t_b_true * cycles_to_next_edge(responder, ping_arrive) + n_in,
-               t_b_true)
+    gap = latch_gap(responder, ping_arrive, n_in)
 
     respond_emit = ping_arrive + scale * gap + consts.delta_0
     respond_arrive = respond_emit + cfg.rho_ab / consts.c

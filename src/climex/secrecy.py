@@ -123,12 +123,13 @@ def valid_pair_area(inputs: BudgetInputs) -> float:
 class SecrecyBudget:
     """Bit-accounting report. Bit widths are floors of the state counts;
     the rounded and real totals are reported alongside because the
-    floor loses up to one bit per component."""
+    floor loses up to one bit per component.  ``climex budget`` prints
+    every field, in this order, under its own name."""
 
-    n_freq: int
-    pair_count: int
-    pair_area: float
-    log2_pairs: float
+    n_freq_values: int
+    pair_count_exact: int
+    pair_count_area: float
+    log2_pairs_exact: float
     log2_pairs_area: float
     bits_f: int
     n_phi_states: float
@@ -139,7 +140,7 @@ class SecrecyBudget:
     bits_rho: int
     bits_total_floor: int
     bits_total_rounded: int
-    log2_total: float
+    log2_total_exact: float
     log2_total_area: float
 
 
@@ -165,10 +166,10 @@ def budget(inputs: BudgetInputs | None = None) -> SecrecyBudget:
     bits_phi = math.floor(l2_phi)
     bits_rho = math.floor(l2_rho)
     return SecrecyBudget(
-        n_freq=inputs.n_freq,
-        pair_count=pairs,
-        pair_area=area,
-        log2_pairs=l2_pairs,
+        n_freq_values=inputs.n_freq,
+        pair_count_exact=pairs,
+        pair_count_area=area,
+        log2_pairs_exact=l2_pairs,
         log2_pairs_area=l2_area,
         bits_f=bits_f,
         n_phi_states=n_phi,
@@ -179,7 +180,7 @@ def budget(inputs: BudgetInputs | None = None) -> SecrecyBudget:
         bits_rho=bits_rho,
         bits_total_floor=bits_f + bits_phi + bits_rho,
         bits_total_rounded=round(l2_pairs) + round(l2_phi) + round(l2_rho),
-        log2_total=l2_pairs + l2_phi + l2_rho,
+        log2_total_exact=l2_pairs + l2_phi + l2_rho,
         log2_total_area=l2_area + l2_phi + l2_rho,
     )
 

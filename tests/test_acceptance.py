@@ -37,10 +37,10 @@ from climex import (
     epoch_model,
     eve_estimate_rtt,
     eve_tdoa_epoch,
-    ideal_epoch_phase,
     log_spaced_values,
     make_oracle_plan,
     make_random_timing_plan,
+    measure_phi_test_local,
     remeasure_epoch,
     robust_parameter_fit,
     run_climex_epoch,
@@ -209,7 +209,7 @@ def test_criterion_6_protocol_reduction_and_closed_form(consts, desk_noise):
             seed=700 + i)
         runner = run_climex_epoch if use_climex else run_rtt_epoch
         ep, log = runner(ini, res, cfg, consts, desk_noise)
-        phi = ideal_epoch_phase(res, log.t_prime, rho, consts)
+        phi = measure_phi_test_local(res, log.t_prime + rho / consts.c)
         args = SawtoothArgs(f_d=ini.f_hz - res.f_hz, t_b=res.period, phi=phi)
         floor = consts.delta_0 + 2.0 * rho / consts.c
         if use_climex:

@@ -6,6 +6,8 @@ determinism across whole processes is exercised separately in the
 acceptance suite.
 """
 
+import ast
+import importlib
 import math
 import re
 import struct
@@ -18,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import climex
 from climex import SweepRow, budget, derive_key
 from climex import cli
 from climex.cli import main
@@ -82,11 +85,56 @@ def test_readme_key_table_names_every_config_key_once():
     assert sorted(named) == sorted(DEFAULTS)
 
 
+def test_every_exported_name_resolves():
+    # each module's __all__, and every name the package re-exports from
+    # a module, which must also be in that module's __all__
+    init = Path(climex.__file__)
+    for node in ast.parse(init.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ImportFrom):
+            mod = importlib.import_module(f"climex.{node.module}")
+            for alias in node.names:
+                assert alias.name in mod.__all__, (node.module, alias.name)
+                assert getattr(climex, alias.name) is getattr(mod,
+                                                              alias.name)
+    for path in init.parent.glob("*.py"):
+        mod = importlib.import_module(f"climex.{path.stem}")
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), (path.stem, name)
+
+
 def test_build_setup_rejects_bad_geometry():
     cfg = dict(DEFAULTS)
     cfg["rho_ab_m"] = -1.0
     with pytest.raises(ConfigError):
         build_setup(cfg)
+
+
+_NO_SEED = {k: v for k, v in DEFAULTS.items() if k != "seed"}
+
+
+@pytest.mark.parametrize("cfg, message", [
+    (dict(DEFAULTS, sigma_inner_s=1e-12), "unknown key 'sigma_inner_s' = "
+     "1e-12"),
+    (_NO_SEED, "missing key 'seed'"),
+    (dict(DEFAULTS, protocol="climax"), "protocol must be one of rtt, "
+     "climex, got 'climax'"),
+    (dict(DEFAULTS, dither="gauss"), "dither must be one of none, uniform, "
+     "got 'gauss'"),
+    (dict(DEFAULTS, attack="forge"), "attack must be one of none, random, "
+     "oracle, got 'forge'"),
+])
+def test_build_setup_checks_its_dict(cfg, message):
+    # a dict-built setup (the benchmark's and the tests') gets the file
+    # path's key and choice checks, without its line numbers
+    with pytest.raises(ConfigError) as err:
+        build_setup(cfg)
+    assert str(err.value) == message
+
+
+def test_build_setup_takes_numpy_values():
+    setup = build_setup(dict(DEFAULTS, seed=np.int64(7),
+                             n_pings=np.int64(300), tm_s=np.float64(1e-4)))
+    assert (setup.scenario.seed, setup.scenario.n_pings) == (7, 300)
 
 
 def test_build_setup_rejects_aliased_grid():
@@ -133,7 +181,7 @@ def test_budget_command_reports_the_budget(tmp_path):
     assert got["pair_count_exact"] == "999000"
     assert float(got["pair_count_area"]) == 998.0 ** 2
     assert got["bits_total_rounded"] == "38"
-    assert float(got["log2_total_exact"]) == pytest.approx(rep.log2_total,
+    assert float(got["log2_total_exact"]) == pytest.approx(rep.log2_total_exact,
                                                            abs=1e-6)
 
 

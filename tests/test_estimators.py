@@ -30,7 +30,6 @@ from climex import (
     epoch_model,
     fold,
     grid_search,
-    ideal_epoch_phase,
     measure_phi_test_local,
     model_fold_values,
     phase_error,
@@ -97,8 +96,11 @@ def _chirp_z_mags(t, y, dphase, a, f_start, f_step, count, weight=None):
     N = 10^5 and tau = 10^-4 s the transform meets the loop to about
     1e-11 N (at most 1.3e-11 of the peak on locked epochs, three seeds).
     """
-    return _ladder_mags(_sample_phasors(t, y, dphase, a, f_start), weight,
-                        count, _bluestein_plan(f_step * t[1], t.size, count))
+    p0 = _sample_phasors(t, y, dphase, a, f_start)
+    if weight is not None:
+        p0 *= weight
+    return _ladder_mags(p0, count, _bluestein_plan(f_step * t[1], t.size,
+                                                   count))
 
 
 def _bluestein_plan(c, n, count):
@@ -341,9 +343,10 @@ def test_fft_ladder_is_the_chirp_z_ladder_on_aligned_combs(m, fill, reach,
     tau = 10.0 ** log_tau
     y, dphase, a, keep = _ladder_inputs(seed, n, locked)
     p0 = _sample_phasors(tau * np.arange(n), y, dphase, a, lo / tau)
-    weight = keep if masked else None
-    fft = _ladder_mags(p0, weight, count, _fft_plan(m))
-    czt = _ladder_mags(p0, weight, count, _bluestein_plan(1.0 / m, n, count))
+    if masked:
+        p0 *= keep
+    fft = _ladder_mags(p0, count, _fft_plan(m))
+    czt = _ladder_mags(p0, count, _bluestein_plan(1.0 / m, n, count))
     assert np.max(np.abs(fft - czt)) <= 1e-12 * n
     assume(not _near_tie(czt))
     assert np.argmax(fft) == np.argmax(czt)
@@ -617,8 +620,8 @@ def test_alignment_slip_bound_at_its_edge():
     tau = 1.0e-4
     y, dphase, a, _ = _ladder_inputs(11, n, locked=True)
     p0 = _sample_phasors(tau * np.arange(n), y, dphase, a, 0.0)
-    fft = _ladder_mags(p0, None, count, _fft_plan(m))
-    exact = _ladder_mags(p0, None, count, _bluestein_plan(c, n, count))
+    fft = _ladder_mags(p0, count, _fft_plan(m))
+    exact = _ladder_mags(p0, count, _bluestein_plan(c, n, count))
     bound = (2.0 * np.pi * _ALIGN_SLIP + 1e-12) * n
     assert np.max(np.abs(fft - exact)) <= bound
     assert np.argmax(fft) == np.argmax(exact)
@@ -686,7 +689,7 @@ def test_zero_noise_recovery_off_grid_beat(clock_pair, scenario, consts,
     ep, log = run_rtt_epoch(ini, res, scenario(n_pings=10000, seed=11),
                             consts, zero_noise)
     est = grid_search(ep, consts, amplitude=1.0 / consts.f_nominal)
-    phi_true = ideal_epoch_phase(res, log.t_prime, 3.0, consts)
+    phi_true = measure_phi_test_local(res, log.t_prime + 3.0 / consts.c)
     assert abs(est.f_d_hat - 500.3) < 0.05
     assert phase_error(est.phi_hat, phi_true) < 0.02
     assert abs(est.rho_hat - 3.0) < 0.01

@@ -3,6 +3,7 @@ the closed-form generators, and the failure modes."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from climex import (
     CausalityError,
@@ -12,20 +13,21 @@ from climex import (
     ProtocolOverrunError,
     SawtoothArgs,
     ScenarioConfig,
-    effective_ping_interval,
+    epoch_model,
     first_edge_at_or_after,
     fold,
-    ideal_epoch_phase,
     measure_phi_test_local,
-    phase_to_next_edge,
     ping_decimation,
     replay_dither,
     run_climex_epoch,
+    run_exchange,
     run_rtt_epoch,
     sawtooth,
     scenario_stream,
 )
-from climex.protocol_sim import DITHER_SLOT, NOISE_SLOT
+from climex.protocol_sim import DITHER_SLOT, NOISE_SLOT, latch_gap
+
+_TWO_PI = 2.0 * np.pi
 
 
 # ----------------------------------------------------------------------
@@ -44,8 +46,9 @@ def test_first_edge_hand_values():
 
 def test_phase_to_next_edge_hand_value():
     clk = ClockParams(f_hz=10.0, theta_rad=0.0)
-    assert phase_to_next_edge(clk, 0.05) == pytest.approx(np.pi, abs=1e-12)
-    assert phase_to_next_edge(clk, 0.1) == pytest.approx(0.0, abs=1e-12)
+    assert measure_phi_test_local(clk, 0.05) == pytest.approx(np.pi,
+                                                              abs=1e-12)
+    assert measure_phi_test_local(clk, 0.1) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_phase_at_returned_edge_is_zero():
@@ -54,7 +57,7 @@ def test_phase_at_returned_edge_is_zero():
     for t in rng.uniform(0.0, 5.0, 200):
         e = first_edge_at_or_after(clk, t)
         assert e >= t - 1e-12
-        p = phase_to_next_edge(clk, e)
+        p = measure_phi_test_local(clk, e)
         # the edge itself reads as zero phase-to-go (mod full turn)
         assert min(p, 2.0 * np.pi - p) < 1e-5
         assert e - t < clk.period + 1e-12
@@ -64,15 +67,24 @@ def test_measure_phi_test_matches_edge_phase():
     clk = ClockParams(f_hz=10.0, theta_rad=0.0)
     # quarter period past an edge leaves three quarters of a turn to go
     assert measure_phi_test_local(clk, 0.125) == pytest.approx(1.5 * np.pi)
+    # the phase left is the wait for the next edge, in turns
     rng = np.random.default_rng(4)
+    clk = ClockParams(f_hz=123.4, theta_rad=0.8)
     for t in rng.uniform(0.0, 3.0, 100):
-        assert measure_phi_test_local(clk, t) == phase_to_next_edge(clk, t)
+        wait = _TWO_PI * clk.f_hz * (first_edge_at_or_after(clk, t) - t)
+        assert abs(fold(measure_phi_test_local(clk, t) - wait + np.pi,
+                        _TWO_PI) - np.pi) < 1e-9
 
 
-def test_ideal_epoch_phase_is_edge_phase_at_arrival(consts):
-    res = ClockParams(f_hz=1.0e8 - 187.0, theta_rad=1.1)
-    v = ideal_epoch_phase(res, 0.123, 3.0, consts)
-    assert v == phase_to_next_edge(res, 0.123 + 3.0 / consts.c)
+def test_latch_gap_hand_values():
+    clk = ClockParams(f_hz=10.0, theta_rad=0.0)
+    # half a period to the next edge, then noise that carries the wait
+    # past it onto the following tooth
+    assert latch_gap(clk, 0.05, 0.0) == pytest.approx(0.05, abs=1e-15)
+    assert latch_gap(clk, 0.05, 0.06) == pytest.approx(0.01, abs=1e-15)
+    assert latch_gap(clk, 0.05, -0.06) == pytest.approx(0.09, abs=1e-15)
+    gaps = latch_gap(clk, np.array([0.0, 0.025, 0.075]), 0.0)
+    assert gaps == pytest.approx([0.0, 0.075, 0.025], abs=1e-15)
 
 
 def test_ping_decimation(consts):
@@ -80,8 +92,6 @@ def test_ping_decimation(consts):
     assert ping_decimation(1.6e-8, consts) == 2
     with pytest.raises(ValueError):
         ping_decimation(1.0e-9, consts)  # shorter than one period
-    ini = ClockParams(f_hz=1.0e8 + 313.0)
-    assert effective_ping_interval(ini, 1.0e-4, consts) == 10000 / ini.f_hz
 
 
 def test_scenario_streams_are_stable_and_disjoint():
@@ -139,7 +149,7 @@ def test_rtt_tick_matches_closed_form(clock_pair, scenario, consts, desk_noise):
     ini, res = clock_pair(500.0)
     ep, log = run_rtt_epoch(ini, res, scenario(n_pings=400, seed=7),
                             consts, desk_noise)
-    phi = ideal_epoch_phase(res, log.t_prime, 3.0, consts)
+    phi = measure_phi_test_local(res, log.t_prime + 3.0 / consts.c)
     args = SawtoothArgs(f_d=ini.f_hz - res.f_hz, t_b=res.period, phi=phi)
     h = sawtooth(log.ping_emit - log.t_prime, args, noise_vec=log.noise_inner)
     y_hat = h + consts.delta_0 + 2.0 * 3.0 / consts.c + log.noise_outer
@@ -151,7 +161,7 @@ def test_climex_tick_matches_closed_form(clock_pair, scenario, consts,
     ini, res = clock_pair(500.0)
     cfg = scenario(n_pings=400, seed=7, dither="uniform")
     ep, log = run_climex_epoch(ini, res, cfg, consts, desk_noise)
-    phi = ideal_epoch_phase(res, log.t_prime, 3.0, consts)
+    phi = measure_phi_test_local(res, log.t_prime + 3.0 / consts.c)
     args = SawtoothArgs(f_d=ini.f_hz - res.f_hz, t_b=res.period, phi=phi)
     g = sawtooth(log.ping_nominal - log.t_prime, args, delta_vec=log.delta,
                  amplitude=log.amplitude, noise_vec=log.noise_inner)
@@ -162,6 +172,39 @@ def test_climex_tick_matches_closed_form(clock_pair, scenario, consts,
     assert np.all(log.delta >= 0.0)
     assert np.all(log.delta < 1.0 / consts.f_nominal)
     assert np.all(log.ping_emit <= log.ping_nominal)
+
+
+@settings(max_examples=40, deadline=None)
+@given(log_t_start=st.floats(-6.0, 3.0), f_d=st.floats(2.0, 1000.0),
+       sign=st.sampled_from((-1.0, 1.0)), theta_a=st.floats(0.0, 6.28),
+       theta_b=st.floats(0.0, 6.28), rho=st.floats(0.0, 30.0),
+       kind=st.sampled_from(("rtt", "climex")), seed=st.integers(0, 2**31))
+@example(log_t_start=3.0, f_d=500.0, sign=1.0, theta_a=0.3, theta_b=1.1,
+         rho=3.0, kind="climex", seed=7)
+def test_tick_matches_closed_form_up_to_1e3_s(log_t_start, f_d, sign,
+                                              theta_a, theta_b, rho, kind,
+                                              seed):
+    # The latch reads the edge phase off an absolute time, so its
+    # rounding grows with the start time: about 1e-12 s of agreement
+    # holds up to t_start = 1e3 s.  A sample within that error of an
+    # edge lands on the other tooth, hence the comparison mod amplitude.
+    consts = ProtocolConstants()
+    noise = NoiseParams(sigma_j=1.0e-9, sigma_c=2.0e-9)
+    ini = ClockParams(f_hz=1.0e8 + 313.0, theta_rad=theta_a)
+    res = ClockParams(f_hz=ini.f_hz - sign * f_d, theta_rad=theta_b)
+    cfg = ScenarioConfig(n_pings=300, rho_ab=rho, t_start=10.0 ** log_t_start,
+                         dither="uniform" if kind == "climex" else "none",
+                         seed=seed)
+    ep, log = run_exchange(ini, res, cfg, consts, noise, kind=kind)
+    args = SawtoothArgs(f_d=ini.f_hz - res.f_hz, t_b=res.period,
+                        phi=measure_phi_test_local(res, log.t_prime
+                                                   + rho / consts.c))
+    want = epoch_model(log.t_prime, cfg.n_pings, log.t_m_eff, args, rho,
+                       consts, delta_vec=log.delta, amplitude=log.amplitude,
+                       noise=noise, rng=scenario_stream(seed, NOISE_SLOT))
+    a = log.amplitude
+    gap = fold(want.y_vec - ep.y_vec + a / 2.0, a) - a / 2.0
+    assert np.max(np.abs(gap)) < 1.0e-12
 
 
 def test_rtt_log_uses_unit_scale(clock_pair, scenario, consts, zero_noise):

@@ -104,10 +104,10 @@ def test_enumeration_guards_against_huge_lattices():
 
 def test_default_budget_values():
     b = budget()
-    assert b.n_freq == 1001
-    assert b.pair_count == 999000
-    assert b.pair_area == 998.0 ** 2
-    assert b.log2_pairs == pytest.approx(19.9301, abs=1e-3)
+    assert b.n_freq_values == 1001
+    assert b.pair_count_exact == 999000
+    assert b.pair_count_area == 998.0 ** 2
+    assert b.log2_pairs_exact == pytest.approx(19.9301, abs=1e-3)
     assert b.log2_pairs_area == pytest.approx(19.9258, abs=1e-3)
     assert b.log2_phi == pytest.approx(5.9734, abs=1e-3)
     assert b.log2_rho == pytest.approx(12.2877, abs=1e-3)
@@ -116,7 +116,7 @@ def test_default_budget_values():
     assert b.bits_rho == 12
     assert b.bits_total_floor == 36
     assert b.bits_total_rounded == 38
-    assert b.log2_total == pytest.approx(38.1912, abs=5e-3)
+    assert b.log2_total_exact == pytest.approx(38.1912, abs=5e-3)
     assert b.log2_total_area == pytest.approx(38.1869, abs=5e-3)
     assert b.n_rho_states == 5000
 
@@ -197,5 +197,5 @@ def test_key_range_errors():
 
 def test_total_log_is_consistent():
     b = budget()
-    assert b.log2_total == pytest.approx(
-        math.log2(b.pair_count) + b.log2_phi + b.log2_rho, abs=1e-9)
+    assert b.log2_total_exact == pytest.approx(
+        math.log2(b.pair_count_exact) + b.log2_phi + b.log2_rho, abs=1e-9)
