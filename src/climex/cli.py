@@ -34,8 +34,7 @@ from .protocol_sim import (
     replay_dither,
     run_exchange,
 )
-from .secrecy import (KeyRangeError, budget, count_valid_pairs_formula,
-                      valid_pair_area)
+from .secrecy import KeyRangeError, budget
 from .signal_model import MeasurementEpoch
 from .sweep import SweepRow, log_spaced_values, run_sweep
 
@@ -59,8 +58,6 @@ _PARSE_CHUNK = 512
 # table rows are formatted this many at a time, so the scratch arrays
 # of only one chunk are alive at once
 _WRITE_CHUNK = 2048
-
-_ASCII_DIGITS = frozenset("0123456789")
 
 # 10^(12 - e) for the decimal exponents e = -10..12 (i = e + 10): the
 # powers of ten up to 10^22, each exact in float64
@@ -237,11 +234,11 @@ def _write_table(header_lines, cell_formats, columns, out_path) -> None:
     _write_text(parts, out_path)
 
 
-def _setup_from_args(args) -> RunSetup:
+def _config_from_args(args) -> dict:
     cfg = load_config(args.config)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg["seed"] = args.seed
-    return build_setup(cfg)
+    return cfg
 
 
 def _run_epoch(setup: RunSetup):
@@ -249,18 +246,13 @@ def _run_epoch(setup: RunSetup):
                         setup.consts, setup.noise, kind=setup.protocol)
 
 
-def _model_amplitude(setup: RunSetup) -> float:
+def _fit_inputs(setup: RunSetup):
+    # the model amplitude and the known dither: the collector owns the
+    # dither stream, so a fit on its own traffic regenerates the draws
     if setup.protocol == "rtt":
-        return 1.0 / setup.consts.f_nominal
-    return setup.consts.a_scale
-
-
-def _known_dither(setup: RunSetup):
-    # the collector owns the dither stream, so a fit on its own traffic
-    # regenerates the draws from the scenario seed
-    if setup.protocol == "rtt":
-        return None
-    return replay_dither(setup.scenario, setup.consts)
+        return 1.0 / setup.consts.f_nominal, None
+    return (setup.consts.a_scale,
+            replay_dither(setup.scenario, setup.consts))
 
 
 # ======================================================================
@@ -269,7 +261,7 @@ def _known_dither(setup: RunSetup):
 
 
 def cmd_simulate(args) -> int:
-    setup = _setup_from_args(args)
+    setup = build_setup(_config_from_args(args))
     epoch, _ = _run_epoch(setup)
     header = [
         f"# protocol = {setup.protocol}",
@@ -282,89 +274,74 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _split_epoch_lines(lines: list[str]):
-    """The ``#`` headers of an epoch file (key -> (line number, value)),
-    its measurement rows in order, and the numbers of the lines that are
-    not rows: headers, blank lines and ``index,`` lines.
-
-    A line that starts with an ASCII digit is a row as it stands:
-    stripping it could only trim its last cell, which the number parse
-    trims anyway.  Only the other lines are stripped and classified.
-    """
+def _read_lines(path: str, lines: list[str]):
+    """The ``#`` headers (key -> (line number, value)) and the time and
+    rtt columns of an epoch file's lines.  Each line is stripped, then
+    read as a ``#`` header, a blank or ``index,`` line (skipped) or a
+    row of three cells; the first bad row is named by its line number.
+    An rtt must be finite and non-negative, as a measurement is."""
     headers: dict[str, tuple[int, str]] = {}
-    body: list[str] = []
-    dropped: list[int] = []
+    t_rows, y_rows = [], []
     for lineno, raw in enumerate(lines, start=1):
-        if raw[:1] in _ASCII_DIGITS:
-            body.append(raw)
-            continue
         line = raw.strip()
         if line.startswith("#"):
             key, _, value = line.lstrip("#").partition("=")
             headers[key.strip()] = (lineno, value.strip())
-        elif line and not line.startswith("index,"):
-            body.append(line)
             continue
-        dropped.append(lineno)
-    return headers, body, dropped
+        if not line or line.startswith("index,"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise ConfigError(f"{path} line {lineno}: expected 3 columns")
+        try:
+            t, y = float(parts[1]), float(parts[2])
+        except ValueError:
+            raise ConfigError(f"{path} line {lineno}: bad number") from None
+        if not (math.isfinite(y) and y >= 0.0):
+            raise ConfigError(f"{path} line {lineno}: rtt_s must be finite "
+                              f"and non-negative")
+        t_rows.append(t)
+        y_rows.append(y)
+    return headers, np.array(t_rows), np.array(y_rows)
 
 
-def _parse_rows(path: str, body: list[str], dropped: list[int]):
-    """The time and value columns of the rows, as float64 arrays.
+def _bulk_rows(lines: list[str]):
+    """The number of header lines and the time and rtt columns of a
+    file in ``simulate``'s layout (``#`` lines, an ``index,`` line, then
+    rows only), as ``_read_lines`` reads it; None for any other file.
 
-    Each chunk of k rows is joined with ",\n" and split on commas.  The
-    rows all have three cells exactly when that gives 3 k cells and the
-    k - 1 newlines all fall in cells 3, 6, 9, ...; the time and value
-    cells are then every third cell from 1 and from 2, and numpy parses
-    each column in one call, taking ``float`` of every cell.  An rtt
-    must be finite and non-negative, as a measurement is.  If a chunk
-    fails, its rows are checked one by one and the error names the line
-    of the first bad row.
+    A chunk of k rows, joined with ",\n" and split on commas, holds k
+    rows of three cells exactly when that gives 3 k cells and its k - 1
+    newlines all fall in cells 3, 6, 9, ...  numpy then parses every
+    third cell from 1 and from 2, taking ``float`` of each.  A chunk
+    holding a ``#`` or an ``index,`` may hold a line that is no row.
     """
-    n = len(body)
+    h = 0
+    while h < len(lines) and lines[h].startswith("#"):
+        h += 1
+    if h == len(lines) or not lines[h].startswith("index,"):
+        return None
+    n = len(lines) - h - 1
     t_col, y_col = np.empty(n), np.empty(n)
     for start in range(0, n, _PARSE_CHUNK):
-        chunk = body[start:start + _PARSE_CHUNK]
-        cells = ",\n".join(chunk).split(",")
+        chunk = lines[h + 1 + start:h + 1 + start + _PARSE_CHUNK]
+        text = ",\n".join(chunk)
+        if "#" in text or "index," in text:
+            return None
+        cells = text.split(",")
+        if (len(cells) != 3 * len(chunk)
+                or "".join(cells[3::3]).count("\n") != len(chunk) - 1):
+            return None
         try:
-            if (len(cells) != 3 * len(chunk)
-                    or "".join(cells[3::3]).count("\n") != len(chunk) - 1):
-                raise ValueError
             t_col[start:start + len(chunk)] = np.array(cells[1::3],
                                                        dtype=float)
             y = y_col[start:start + len(chunk)]
             y[:] = np.array(cells[2::3], dtype=float)
-            if not np.all(np.isfinite(y) & (y >= 0.0)):
-                raise ValueError
         except ValueError:
-            _raise_bad_row(path, chunk, start, dropped)
-    return t_col, y_col
-
-
-def _raise_bad_row(path: str, chunk: list[str], start: int,
-                   dropped: list[int]):
-    for k, line in enumerate(chunk, start=start):
-        parts = line.split(",")
-        if len(parts) != 3:
-            problem = "expected 3 columns"
-        else:
-            try:
-                float(parts[1])
-                rtt = float(parts[2])
-            except ValueError:
-                problem = "bad number"
-            else:
-                if math.isfinite(rtt) and rtt >= 0.0:
-                    continue
-                problem = "rtt_s must be finite and non-negative"
-        # row k sits after every dropped line that comes before it
-        lineno = k + 1
-        for skipped in dropped:
-            if skipped > lineno:
-                break
-            lineno += 1
-        raise ConfigError(f"{path} line {lineno}: {problem}")
-    raise AssertionError("bulk row parse failed on rows that parse")
+            return None
+        if not np.all(np.isfinite(y) & (y >= 0.0)):
+            return None
+    return h, t_col, y_col
 
 
 def _read_epoch_csv(path: str, setup: RunSetup) -> MeasurementEpoch:
@@ -373,9 +350,14 @@ def _read_epoch_csv(path: str, setup: RunSetup) -> MeasurementEpoch:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read epoch file {path}: {exc}") from None
-    headers, body, dropped = _split_epoch_lines(text.splitlines())
+    lines = text.splitlines()
     del text        # the lines hold it now: 0.3 MB less peak at 10^4 rows
-    t_col, y_col = _parse_rows(path, body, dropped)
+    bulk = _bulk_rows(lines)
+    if bulk is None:
+        headers, t_col, y_col = _read_lines(path, lines)
+    else:
+        h, t_col, y_col = bulk
+        headers = _read_lines(path, lines[:h])[0]
     if "t_prime_s" not in headers:
         raise ConfigError(f"{path}: missing '# t_prime_s = ...' header")
     lineno, value = headers["t_prime_s"]
@@ -410,14 +392,15 @@ def _read_epoch_csv(path: str, setup: RunSetup) -> MeasurementEpoch:
 
 
 def cmd_estimate(args) -> int:
-    setup = _setup_from_args(args)
+    setup = build_setup(_config_from_args(args))
     if args.infile is not None:
         epoch = _read_epoch_csv(args.infile, setup)
     else:
         epoch, _ = _run_epoch(setup)
+    amplitude, delta_vec = _fit_inputs(setup)
     ce = complete_estimate(
         epoch, setup.initiator.f_hz, setup.consts, grid=setup.grid,
-        amplitude=_model_amplitude(setup), delta_vec=_known_dither(setup),
+        amplitude=amplitude, delta_vec=delta_vec,
         t_test=epoch.t_prime + setup.t_test_offset)
     est = ce.estimate
     lines = [
@@ -436,9 +419,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+    cfg = _config_from_args(args)
     if args.trials < 1:
         raise ConfigError(f"--trials must be at least 1, got {args.trials}")
     if args.values:
@@ -474,21 +455,17 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_budget(args) -> int:
-    setup = _setup_from_args(args)
+    setup = build_setup(_config_from_args(args))
     b = setup.budget_inputs
-    # a run needs no budget, so build_setup takes such a config (say
-    # f0_hz = 1e5, where 10 ppm is a 1 Hz lottery, or 2e5, whose two
-    # pairs at the 2 Hz beat floor span no area)
-    lottery = (f"f0_hz = {b.f0_hz:g} and budget_ppm = {b.ppm:g} give a "
-               f"{2.0 * b.half_span_hz:g} Hz offset lottery with no beat")
-    window = (f"in [budget_fd_min_hz, budget_fd_max_hz] = "
-              f"[{b.f_d_min_hz:g}, {b.f_d_max_hz:g}]")
-    if count_valid_pairs_formula(b) < 1:
-        raise ConfigError(f"no valid frequency pairs: {lottery} {window} on "
-                          f"the budget_f_step_hz = {b.f_step_hz:g} lattice")
-    if valid_pair_area(b) <= 0.0:
-        raise ConfigError(f"no valid pair area: {lottery} area {window}")
-    rep = budget(b)
+    # a run needs no budget, so build_setup takes a config whose lottery
+    # holds no beat (say f0_hz = 1e5, where 10 ppm is a 1 Hz lottery)
+    try:
+        rep = budget(b)
+    except ValueError as exc:
+        raise ConfigError(f"{exc}: f0_hz = {b.f0_hz:g}, budget_ppm = "
+                          f"{b.ppm:g}, budget_f_step_hz = {b.f_step_hz:g}, "
+                          f"budget_fd_min_hz = {b.f_d_min_hz:g}, "
+                          f"budget_fd_max_hz = {b.f_d_max_hz:g}") from None
     lines = [f"{name} = {v}" if isinstance(v, int) else f"{name} = {v:.6f}"
              for name, v in dataclasses.asdict(rep).items()]
     _write_lines(lines, args.out)
@@ -496,7 +473,7 @@ def cmd_budget(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    setup = _setup_from_args(args)
+    setup = build_setup(_config_from_args(args))
     epoch, log = _run_epoch(setup)
     n = epoch.n
     attacked = np.zeros(n, dtype=bool)
@@ -507,8 +484,7 @@ def cmd_detect(args) -> int:
         plan = maker(log, setup.rho_ae, setup.attack_n, rng=setup.attack_seed)
         attacked[plan.indices] = True
         epoch, won = remeasure_epoch(log, plan)
-    amp = _model_amplitude(setup)
-    delta_vec = _known_dither(setup)
+    amp, delta_vec = _fit_inputs(setup)
     est, _ = robust_parameter_fit(epoch, setup.consts, amplitude=amp,
                                   grid=setup.grid, delta_vec=delta_vec,
                                   trim=setup.detect_trim)

@@ -83,6 +83,7 @@ DEFAULTS: dict = {
 }
 
 _INT_KEYS = {k for k, v in DEFAULTS.items() if isinstance(v, int)}
+_FLOAT_KEYS = [k for k, v in DEFAULTS.items() if isinstance(v, float)]
 _CHOICES = {
     "protocol": ("rtt", "climex"),
     "dither": ("none", "uniform"),
@@ -94,6 +95,11 @@ def _check_choice(key: str, value, where: str = "") -> None:
     if value not in _CHOICES[key]:
         raise ConfigError(f"{where}{key} must be one of "
                           f"{', '.join(_CHOICES[key])}, got {value!r}")
+
+
+def _check_finite(key: str, value, where: str = "") -> None:
+    if not math.isfinite(float(value)):
+        raise ConfigError(f"{where}{key} must be finite, got {value!r}")
 
 
 def parse_config_text(text: str) -> dict:
@@ -131,9 +137,7 @@ def parse_config_text(text: str) -> dict:
             except ValueError:
                 raise ConfigError(f"line {lineno}: {key} must be a number, "
                                   f"got {value!r}") from None
-            if not math.isfinite(out[key]):
-                raise ConfigError(f"line {lineno}: {key} must be finite, "
-                                  f"got {value!r}")
+            _check_finite(key, value, f"line {lineno}: ")
     return out
 
 
@@ -190,6 +194,8 @@ def build_setup(cfg: dict) -> RunSetup:
             raise ConfigError(f"missing key {key!r}")
     for key in _CHOICES:
         _check_choice(key, cfg[key])
+    for key in _FLOAT_KEYS:
+        _check_finite(key, cfg[key])
     for key in ("seed", "attack_seed"):
         if cfg[key] < 0:
             raise ConfigError(f"{key} must be a non-negative integer, "

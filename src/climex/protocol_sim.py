@@ -20,7 +20,8 @@ modulus, so the recorded dither vector plugs directly into
 Timestamps are absolute seconds in float64.  Phase extraction from an
 absolute time loses precision as the magnitude grows: the latched gaps
 agree with the closed forms to about 1e-12 s for scenario start times
-up to 1e3 s, and drift from there (several ps at 1e4 s).
+up to 1e3 s, and drift from there (several ps at 1e4 s, ~5 ns at
+1e7 s).  So a scenario refuses a start time outside +-1e3 s.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * np.pi
+_T_START_LIMIT = 1.0e3     # s: the agreement bound above
 
 
 class ProtocolOverrunError(RuntimeError):
@@ -77,7 +79,8 @@ class CausalityError(RuntimeError):
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Exchange-level knobs that are not clock or noise parameters.
-    ``dither`` "uniform" advances each ping by U(0, 1 / f_nominal)."""
+    ``dither`` "uniform" advances each ping by U(0, 1 / f_nominal).
+    ``t_start`` lies within +-1e3 s, where the tick engine holds."""
 
     t_m: float = 1.0e-4
     n_pings: int = 10000
@@ -93,6 +96,10 @@ class ScenarioConfig:
             raise ValueError("n_pings must be at least 1")
         if self.rho_ab < 0.0:
             raise CausalityError("negative initiator-responder distance")
+        if not abs(self.t_start) <= _T_START_LIMIT:
+            raise ValueError(f"start time t_start = {self.t_start!r} s is "
+                             f"outside +-{_T_START_LIMIT:g} s, where the "
+                             f"tick engine meets the closed forms")
         if self.dither not in ("none", "uniform"):
             raise ValueError(f"unknown dither kind {self.dither!r}")
 

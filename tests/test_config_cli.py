@@ -122,6 +122,12 @@ _NO_SEED = {k: v for k, v in DEFAULTS.items() if k != "seed"}
      "got 'gauss'"),
     (dict(DEFAULTS, attack="forge"), "attack must be one of none, random, "
      "oracle, got 'forge'"),
+    # each ran: a NaN check offset fitted phi_test_hat = nan unnamed
+    (dict(DEFAULTS, t_test_offset_s=math.nan), "t_test_offset_s must be "
+     "finite, got nan"),
+    (dict(DEFAULTS, sigma_j_s=math.inf), "sigma_j_s must be finite, got inf"),
+    (dict(DEFAULTS, rho_ae_m=math.nan), "rho_ae_m must be finite, got nan"),
+    (dict(DEFAULTS, f0_hz=-math.inf), "f0_hz must be finite, got -inf"),
 ])
 def test_build_setup_checks_its_dict(cfg, message):
     # a dict-built setup (the benchmark's and the tests') gets the file
@@ -207,10 +213,9 @@ def test_budget_refuses_a_lottery_without_beats(tmp_path, capsys):
     cfgp.write_text("f0_hz = 1e5\n")
     assert main(["budget", "--config", str(cfgp)]) == 2
     assert capsys.readouterr().err == (
-        "config error: no valid frequency pairs: f0_hz = 100000 and "
-        "budget_ppm = 10 give a 1 Hz offset lottery with no beat in "
-        "[budget_fd_min_hz, budget_fd_max_hz] = [2, 1000] on the "
-        "budget_f_step_hz = 1 lattice\n")
+        "config error: no valid frequency pairs under these inputs: "
+        "f0_hz = 100000, budget_ppm = 10, budget_f_step_hz = 1, "
+        "budget_fd_min_hz = 2, budget_fd_max_hz = 1000\n")
     out = tmp_path / "epoch.csv"
     assert main(["simulate", "--config", str(cfgp), "--out", str(out)]) == 0
     assert len(_lines(out)) == 4 + 10_000
@@ -760,6 +765,17 @@ _READER_CASES = {
     "empty_cell": (40, lambda ls: ls[:4] + [ls[4][:-1] + ","] + ls[5:]),
     "bad_row_before_missing_header": (40, lambda ls: ls[:2] + ls[3:15]
                                       + ["1,2,3,4"] + ls[15:]),
+    # lines of three cells that parse, in simulate's layout otherwise,
+    # that are no rows, and a line of spaces in a later parse chunk
+    "header_of_three_numbers_in_body": (40, lambda ls: ls[:20]
+                                        + ["# note = 1,2e-8,3e-8"] + ls[20:]),
+    "indented_index_line_in_body": (40, lambda ls: ls[:20]
+                                    + [" index,1e-4,2e-8"] + ls[20:]),
+    "whitespace_only_line_in_body": (1200, lambda ls: ls[:800] + ["   "]
+                                     + ls[800:]),
+    "four_columns_on_the_last_row": (40, lambda ls: ls[:-1]
+                                     + [ls[-1] + ",0"]),
+    "no_index_line": (40, lambda ls: ls[:3] + ls[4:]),
 }
 
 
@@ -795,6 +811,15 @@ def test_epoch_reader_matches_per_line_reader(tmp_path, monkeypatch, capsys,
         runs.append((code, capsys.readouterr().err,
                      out.read_bytes() if out.exists() else None))
     assert runs[0] == runs[1]
+
+
+def test_simulate_epoch_files_take_the_bulk_read(tmp_path):
+    # the line reader gives the same epoch, slower: simulate's own
+    # files, of one or of several parse chunks, are read in bulk
+    for n_pings in (40, 1200):
+        _, lines = _small_epoch_lines(tmp_path, n_pings)
+        h, t_col, y_col = cli._bulk_rows(lines)
+        assert (h, t_col.size, y_col.size) == (3, n_pings, n_pings)
 
 
 def test_estimate_names_the_line_of_a_bad_row(tmp_path, capsys):
@@ -844,6 +869,21 @@ def test_estimate_refuses_a_non_finite_epoch_timestamp(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err == (f"config error: {bad} line 3: t_prime_s must be finite, "
                    f"got {value!r}\n")
+
+
+def test_sweep_timing_fills_only_the_runtime_column(tmp_path):
+    # --timing times each fit; every other cell is the untimed run's
+    runs = []
+    for flag in ([], ["--timing"]):
+        out = tmp_path / f"sweep{len(flag)}.csv"
+        assert main(["sweep", "--values", "20,500", "--trials", "2",
+                     "--out", str(out)] + flag) == 0
+        runs.append([ln.rsplit(",", 1) for ln in _lines(out)])
+    plain, timed = runs
+    assert [cells[0] for cells in timed] == [cells[0] for cells in plain]
+    assert [cells[1] for cells in plain[1:]] == ["0.000000000000e+00"] * 4
+    runtimes = [float(cells[1]) for cells in timed[1:]]
+    assert all(math.isfinite(r) and r > 0.0 for r in runtimes)
 
 
 def test_sweep_single_value_row(tmp_path):
@@ -1047,9 +1087,17 @@ def test_config_errors_exit_2(tmp_path, capsys):
             # a 2 Hz lottery holds 2 pairs at a 2 Hz beat but no pair
             # area, whose log2 exited 1 with "math domain error"
             ("f0_hz = 2e5\n", ["budget"],
-             "no valid pair area: f0_hz = 200000 and budget_ppm = 10 give "
-             "a 2 Hz offset lottery with no beat area in [budget_fd_min_hz, "
-             "budget_fd_max_hz] = [2, 1000]")):
+             "no valid pair area under these inputs: the offset lottery is "
+             "no wider than f_d_min, or f_d_min = f_d_max: f0_hz = 200000, "
+             "budget_ppm = 10, budget_f_step_hz = 1, budget_fd_min_hz = 2, "
+             "budget_fd_max_hz = 1000"),
+            # the tick engine drifts past 1e3 s: ~5 ns at 1e7 s, unnamed
+            ("t_start_s = 1e7\n", ["simulate"],
+             "start time t_start = 10000000.0 s is outside +-1000 s, where "
+             "the tick engine meets the closed forms"),
+            ("t_start_s = -1.001e3\n", ["estimate"],
+             "start time t_start = -1001.0 s is outside +-1000 s, where "
+             "the tick engine meets the closed forms")):
         cfgp.write_text(text)
         assert main(argv + ["--config", str(cfgp)]) == 2
         assert capsys.readouterr().err == f"config error: {named}\n"

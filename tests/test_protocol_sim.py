@@ -265,3 +265,10 @@ def test_scenario_validation():
         ScenarioConfig(t_m=1.0e-4, n_pings=0)
     with pytest.raises(ValueError, match="unknown dither kind 'gauss'"):
         ScenarioConfig(dither="gauss")
+    # the tick engine meets the closed forms to ~1e-12 s up to 1e3 s
+    # and drifts past it (~5 ns at 1e7 s, which ran without a word)
+    for t_start in (1.0e3, -1.0e3, 0.0):
+        assert ScenarioConfig(t_start=t_start).t_start == t_start
+    for t_start in (1.001e3, -1.001e3, 1.0e7, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=r"outside \+-1000 s"):
+            ScenarioConfig(t_start=t_start)
