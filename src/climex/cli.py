@@ -26,14 +26,15 @@ from .adversary import (
     remeasure_epoch,
     robust_parameter_fit,
 )
-from .config import ConfigError, RunSetup, build_setup, load_config
-from .estimators import complete_estimate
-from .protocol_sim import (
-    CausalityError,
-    ProtocolOverrunError,
-    replay_dither,
-    run_exchange,
+from .config import (
+    BUDGET_KEYS,
+    ConfigError,
+    RunSetup,
+    build_setup,
+    from_config,
+    load_config,
 )
+from .protocol_sim import CausalityError, ProtocolOverrunError
 from .secrecy import KeyRangeError, budget
 from .signal_model import MeasurementEpoch
 from .sweep import SweepRow, log_spaced_values, run_sweep
@@ -241,20 +242,6 @@ def _config_from_args(args) -> dict:
     return cfg
 
 
-def _run_epoch(setup: RunSetup):
-    return run_exchange(setup.initiator, setup.responder, setup.scenario,
-                        setup.consts, setup.noise, kind=setup.protocol)
-
-
-def _fit_inputs(setup: RunSetup):
-    # the model amplitude and the known dither: the collector owns the
-    # dither stream, so a fit on its own traffic regenerates the draws
-    if setup.protocol == "rtt":
-        return 1.0 / setup.consts.f_nominal, None
-    return (setup.consts.a_scale,
-            replay_dither(setup.scenario, setup.consts))
-
-
 # ======================================================================
 # subcommands
 # ======================================================================
@@ -262,7 +249,7 @@ def _fit_inputs(setup: RunSetup):
 
 def cmd_simulate(args) -> int:
     setup = build_setup(_config_from_args(args))
-    epoch, _ = _run_epoch(setup)
+    epoch, _ = setup.run_epoch()
     header = [
         f"# protocol = {setup.protocol}",
         f"# seed = {setup.scenario.seed}",
@@ -396,12 +383,8 @@ def cmd_estimate(args) -> int:
     if args.infile is not None:
         epoch = _read_epoch_csv(args.infile, setup)
     else:
-        epoch, _ = _run_epoch(setup)
-    amplitude, delta_vec = _fit_inputs(setup)
-    ce = complete_estimate(
-        epoch, setup.initiator.f_hz, setup.consts, grid=setup.grid,
-        amplitude=amplitude, delta_vec=delta_vec,
-        t_test=epoch.t_prime + setup.t_test_offset)
+        epoch, _ = setup.run_epoch()
+    ce = setup.estimate(epoch)
     est = ce.estimate
     lines = [
         f"f_d_hat_hz = {_fmt(est.f_d_hat)}",
@@ -455,17 +438,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_budget(args) -> int:
-    setup = build_setup(_config_from_args(args))
-    b = setup.budget_inputs
+    cfg = _config_from_args(args)
     # a run needs no budget, so build_setup takes a config whose lottery
     # holds no beat (say f0_hz = 1e5, where 10 ppm is a 1 Hz lottery)
-    try:
-        rep = budget(b)
-    except ValueError as exc:
-        raise ConfigError(f"{exc}: f0_hz = {b.f0_hz:g}, budget_ppm = "
-                          f"{b.ppm:g}, budget_f_step_hz = {b.f_step_hz:g}, "
-                          f"budget_fd_min_hz = {b.f_d_min_hz:g}, "
-                          f"budget_fd_max_hz = {b.f_d_max_hz:g}") from None
+    rep = from_config(cfg, BUDGET_KEYS, budget,
+                      build_setup(cfg).budget_inputs)
     lines = [f"{name} = {v}" if isinstance(v, int) else f"{name} = {v:.6f}"
              for name, v in dataclasses.asdict(rep).items()]
     _write_lines(lines, args.out)
@@ -474,7 +451,7 @@ def cmd_budget(args) -> int:
 
 def cmd_detect(args) -> int:
     setup = build_setup(_config_from_args(args))
-    epoch, log = _run_epoch(setup)
+    epoch, log = setup.run_epoch()
     n = epoch.n
     attacked = np.zeros(n, dtype=bool)
     won = np.zeros(n, dtype=bool)
@@ -484,7 +461,7 @@ def cmd_detect(args) -> int:
         plan = maker(log, setup.rho_ae, setup.attack_n, rng=setup.attack_seed)
         attacked[plan.indices] = True
         epoch, won = remeasure_epoch(log, plan)
-    amp, delta_vec = _fit_inputs(setup)
+    amp, delta_vec = setup.fit_model()
     est, _ = robust_parameter_fit(epoch, setup.consts, amplitude=amp,
                                   grid=setup.grid, delta_vec=delta_vec,
                                   trim=setup.detect_trim)

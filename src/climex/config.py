@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .estimators import SearchGrid
+from .estimators import CounterpartEstimate, SearchGrid, complete_estimate
 from .secrecy import BudgetInputs
 from .signal_model import (
     SPEED_OF_LIGHT_M_S,
@@ -26,10 +26,12 @@ from .protocol_sim import (
     CausalityError,
     ScenarioConfig,
     ping_decimation,
+    replay_dither,
+    run_exchange,
 )
 
-__all__ = ["ConfigError", "DEFAULTS", "parse_config_text", "load_config",
-           "RunSetup", "build_setup"]
+__all__ = ["ConfigError", "DEFAULTS", "BUDGET_KEYS", "parse_config_text",
+           "load_config", "RunSetup", "from_config", "build_setup"]
 
 
 class ConfigError(ValueError):
@@ -157,7 +159,7 @@ def load_config(path: str | None) -> dict:
 @dataclass(frozen=True)
 class RunSetup:
     """Config dictionary materialized into the library's parameter
-    objects."""
+    objects, with the rules that run and fit its protocol."""
 
     protocol: str
     initiator: ClockParams
@@ -176,11 +178,54 @@ class RunSetup:
     attack_n: int
     attack_seed: int
 
+    def run_epoch(self):
+        """One epoch of the configured exchange: ``(epoch, log)``."""
+        return run_exchange(self.initiator, self.responder, self.scenario,
+                            self.consts, self.noise, kind=self.protocol)
 
-# the keys behind BudgetInputs' positive fields
-_BUDGET_POSITIVE = ("f0_hz", "budget_ppm", "budget_f_step_hz",
-                    "budget_phi_step_rad", "budget_rho_max_m",
-                    "budget_rho_step_m")
+    def fit_model(self):
+        """The model amplitude and known dither of a fit: the plain
+        sawtooth is one nominal period high and undithered, the protected
+        one ``a_scale`` high, and its collector replays its own dither."""
+        if self.protocol == "rtt":
+            return 1.0 / self.consts.f_nominal, None
+        return self.consts.a_scale, replay_dither(self.scenario, self.consts)
+
+    def estimate(self, epoch) -> CounterpartEstimate:
+        """The fit of ``epoch`` under :meth:`fit_model`, checked
+        ``t_test_offset`` after the epoch timestamp."""
+        amplitude, delta_vec = self.fit_model()
+        return complete_estimate(
+            epoch, self.initiator.f_hz, self.consts, grid=self.grid,
+            amplitude=amplitude, delta_vec=delta_vec,
+            t_test=epoch.t_prime + self.t_test_offset)
+
+
+# the config keys behind BudgetInputs' fields, and behind the fields of
+# each object build_setup reads straight from the config, in field order
+BUDGET_KEYS = ("f0_hz", "budget_ppm", "budget_f_step_hz", "budget_fd_min_hz",
+               "budget_fd_max_hz", "budget_phi_step_rad", "budget_rho_max_m",
+               "budget_rho_step_m")
+_FIELD_KEYS = {
+    ScenarioConfig: ("tm_s", "n_pings", "rho_ab_m", "t_start_s", "dither",
+                     "seed"),
+    ProtocolConstants: ("c_mps", "f0_hz", "delta0_s", "a_scale_s"),
+    NoiseParams: ("sigma_j_s", "sigma_c_s"),
+    SearchGrid: ("grid_f_lo_hz", "grid_f_hi_hz", "grid_df_hz", "grid_refine"),
+    BudgetInputs: BUDGET_KEYS,
+}
+
+
+def from_config(cfg: dict, keys, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, whose inputs are the values of ``keys``
+    in ``cfg``.  A ValueError or CausalityError it raises comes back as
+    a ConfigError: the reason, then each key with its value."""
+    try:
+        return make(*args, **kwargs)
+    except (ValueError, CausalityError) as exc:
+        raise ConfigError(f"{exc}: " + ", ".join(
+            f"{k} = {cfg[k]:g}" if isinstance(cfg[k], float)
+            else f"{k} = {cfg[k]}" for k in keys)) from None
 
 
 def build_setup(cfg: dict) -> RunSetup:
@@ -212,43 +257,14 @@ def build_setup(cfg: dict) -> RunSetup:
         raise ConfigError(f"attack_n must be in [1, n_pings] when attack is "
                           f"on, got attack_n = {cfg['attack_n']} with "
                           f"n_pings = {cfg['n_pings']}")
-    try:
-        initiator = ClockParams(f_hz=cfg["f0_hz"] + cfg["offset_a_hz"],
-                                theta_rad=cfg["theta_a_rad"])
-        responder = ClockParams(f_hz=cfg["f0_hz"] + cfg["offset_b_hz"],
-                                theta_rad=cfg["theta_b_rad"])
-        scenario = ScenarioConfig(t_m=cfg["tm_s"], n_pings=cfg["n_pings"],
-                                  rho_ab=cfg["rho_ab_m"],
-                                  t_start=cfg["t_start_s"],
-                                  dither=cfg["dither"], seed=cfg["seed"])
-        consts = ProtocolConstants(c=cfg["c_mps"], f_nominal=cfg["f0_hz"],
-                                   delta_0=cfg["delta0_s"],
-                                   a_scale=cfg["a_scale_s"])
-        noise = NoiseParams(sigma_j=cfg["sigma_j_s"], sigma_c=cfg["sigma_c_s"])
-        grid = SearchGrid(f_lo=cfg["grid_f_lo_hz"], f_hi=cfg["grid_f_hi_hz"],
-                          df=cfg["grid_df_hz"], refine=cfg["grid_refine"])
-    except (ValueError, CausalityError) as exc:
-        raise ConfigError(str(exc)) from None
-    try:
-        binputs = BudgetInputs(
-            f0_hz=cfg["f0_hz"], ppm=cfg["budget_ppm"],
-            f_step_hz=cfg["budget_f_step_hz"],
-            f_d_min_hz=cfg["budget_fd_min_hz"],
-            f_d_max_hz=cfg["budget_fd_max_hz"],
-            phi_step_rad=cfg["budget_phi_step_rad"],
-            rho_max_m=cfg["budget_rho_max_m"],
-            rho_step_m=cfg["budget_rho_step_m"])
-    except ValueError as exc:
-        # BudgetInputs checks positivity first, then the beat window
-        keys = ([k for k in _BUDGET_POSITIVE if not cfg[k] > 0.0]
-                or ["budget_fd_min_hz", "budget_fd_max_hz"])
-        raise ConfigError(f"{exc}: " + ", ".join(
-            f"{k} = {cfg[k]:g}" for k in keys)) from None
-    try:
-        ping_decimation(scenario.t_m, consts)
-    except ValueError as exc:
-        raise ConfigError(f"{exc}: tm_s = {cfg['tm_s']:g}, "
-                          f"f0_hz = {cfg['f0_hz']:g}") from None
+    initiator, responder = (from_config(
+        cfg, ("f0_hz", f"offset_{s}_hz", f"theta_{s}_rad"), ClockParams,
+        cfg["f0_hz"] + cfg[f"offset_{s}_hz"], cfg[f"theta_{s}_rad"])
+        for s in "ab")
+    scenario, consts, noise, grid, binputs = (
+        from_config(cfg, keys, make, *(cfg[k] for k in keys))
+        for make, keys in _FIELD_KEYS.items())
+    from_config(cfg, ("tm_s", "f0_hz"), ping_decimation, scenario.t_m, consts)
     # on the uniform grid t_m j the resultant repeats with period 1 / t_m
     # in f, so a grid that wide holds exact alias ties
     if grid.f_hi - grid.f_lo >= 1.0 / scenario.t_m:

@@ -73,6 +73,9 @@ class BudgetInputs:
             raise ValueError("budget inputs must be positive")
         if not 0.0 < self.f_d_min_hz <= self.f_d_max_hz:
             raise ValueError("need 0 < f_d_min <= f_d_max")
+        # at least one state per quantity: no bit width is negative
+        if self.phi_step_rad > _TWO_PI or self.rho_step_m > self.rho_max_m:
+            raise ValueError("need phi_step <= 2 pi and rho_step <= rho_max")
 
     @property
     def half_span_hz(self) -> float:
@@ -230,8 +233,14 @@ def derive_key(f_initiator_hz: float, f_responder_hz: float,
     Indices at or past the truncation capacity alias; the budget report
     carries that loss, the derivation does not hide it.
 
-    Raises KeyRangeError when a parameter leaves the valid region.
+    Raises KeyRangeError when a parameter leaves the valid region or
+    is not finite.
     """
+    for name, v in (("f_initiator_hz", f_initiator_hz),
+                    ("f_responder_hz", f_responder_hz),
+                    ("phi_test_rad", phi_test_rad), ("rho_m", rho_m)):
+        if not math.isfinite(v):
+            raise KeyRangeError(f"{name} must be finite, got {v!r}")
     if inputs is None:
         inputs = BudgetInputs()
     rep = budget(inputs)
@@ -254,9 +263,8 @@ def derive_key(f_initiator_hz: float, f_responder_hz: float,
     rho_idx = math.floor(rho_m / inputs.rho_step_m)
     rho_idx = min(rho_idx, int(round(inputs.rho_max_m / inputs.rho_step_m)) - 1)
 
-    parts = [
-        format(rank & ((1 << rep.bits_f) - 1), f"0{rep.bits_f}b"),
-        format(phi_idx & ((1 << rep.bits_phi) - 1), f"0{rep.bits_phi}b"),
-        format(rho_idx & ((1 << rep.bits_rho) - 1), f"0{rep.bits_rho}b"),
-    ]
-    return "".join(parts)
+    # the low bits of each index; a 0-bit field writes none
+    fields = ((rank, rep.bits_f), (phi_idx, rep.bits_phi),
+              (rho_idx, rep.bits_rho))
+    return "".join(format(idx & ((1 << bits) - 1), f"0{bits}b")
+                   for idx, bits in fields if bits)

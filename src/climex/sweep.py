@@ -2,10 +2,10 @@
 
 Each swept value adjusts the responder offset so the exchange realizes
 that beat, then runs independent seeded trials of the full pipeline:
-tick-level plain exchange, grid-search estimation, counterpart phase
-prediction, comparison against the hidden truth.  Row seeds are
-``base_seed + value_index * trials + trial_index`` so any row can be
-reproduced in isolation.
+tick-level exchange under the configured protocol, grid-search
+estimation, counterpart phase prediction, comparison against the hidden
+truth.  Row seeds are ``base_seed + value_index * trials + trial_index``
+so any row can be reproduced in isolation.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import build_setup
-from .estimators import complete_estimate, phase_error
-from .protocol_sim import measure_phi_test_local, run_rtt_epoch
+from .estimators import phase_error
+from .protocol_sim import measure_phi_test_local
 
 __all__ = ["SweepRow", "log_spaced_values", "run_sweep"]
 
@@ -52,13 +52,14 @@ def log_spaced_values(lo: float, hi: float, n: int) -> np.ndarray:
 
 def run_sweep(cfg: dict, f_d_values, trials: int, *,
               timing: bool = False) -> list[SweepRow]:
-    """Estimation-accuracy sweep on the plain exchange.
+    """Estimation-accuracy sweep.
 
-    ``cfg`` is a config dictionary (see :mod:`climex.config`); its
-    protocol entry is ignored because estimation runs on the plain
-    round-trip phase.  The responder offset is recomputed per swept
-    value; everything else comes from ``cfg``.  With ``timing`` off the
-    runtime field is 0.0 so downstream output stays byte-stable.
+    ``cfg`` is a config dictionary (see :mod:`climex.config`); each
+    trial runs and fits the exchange its ``protocol`` names, as
+    ``climex estimate`` does.  The responder offset is recomputed per
+    swept value; everything else comes from ``cfg``.  With ``timing``
+    off the runtime field is 0.0 so downstream output stays
+    byte-stable.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -66,20 +67,16 @@ def run_sweep(cfg: dict, f_d_values, trials: int, *,
     base_seed = int(cfg["seed"])
     for vi, value in enumerate(f_d_values):
         c2 = dict(cfg)
-        c2["protocol"] = "rtt"
         c2["offset_b_hz"] = float(cfg["offset_a_hz"]) - float(value)
         for ti in range(trials):
             c2["seed"] = base_seed + vi * trials + ti
             setup = build_setup(c2)
-            epoch, _ = run_rtt_epoch(setup.initiator, setup.responder,
-                                     setup.scenario, setup.consts, setup.noise)
-            t_test = epoch.t_prime + setup.t_test_offset
+            epoch, _ = setup.run_epoch()
             t0 = time.perf_counter() if timing else 0.0
-            ce = complete_estimate(epoch, setup.initiator.f_hz, setup.consts,
-                                   grid=setup.grid, t_test=t_test)
+            ce = setup.estimate(epoch)
             runtime = time.perf_counter() - t0 if timing else 0.0
             f_d_true = setup.initiator.f_hz - setup.responder.f_hz
-            phi_true = measure_phi_test_local(setup.responder, t_test)
+            phi_true = measure_phi_test_local(setup.responder, ce.t_test)
             rows.append(SweepRow(
                 f_d_true=f_d_true,
                 trial=ti,

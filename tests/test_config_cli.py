@@ -7,6 +7,7 @@ acceptance suite.
 """
 
 import ast
+import dataclasses
 import importlib
 import math
 import re
@@ -21,18 +22,34 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import climex
-from climex import SweepRow, budget, derive_key
+from climex import (
+    BudgetInputs,
+    NoiseParams,
+    ProtocolConstants,
+    ScenarioConfig,
+    SearchGrid,
+    SweepRow,
+    budget,
+    derive_key,
+)
 from climex import cli
 from climex.cli import main
 from climex.config import (
     ConfigError,
     DEFAULTS,
+    RunSetup,
     build_setup,
     load_config,
     parse_config_text,
 )
+from climex.estimators import complete_estimate, phase_error
+from climex.protocol_sim import (
+    measure_phi_test_local,
+    replay_dither,
+    run_climex_epoch,
+)
 from climex.signal_model import MeasurementEpoch
-from climex.sweep import log_spaced_values
+from climex.sweep import log_spaced_values, run_sweep
 
 
 # ----------------------------------------------------------------------
@@ -161,6 +178,30 @@ def test_build_setup_wires_the_clocks():
     assert setup.scenario.n_pings == 10000
 
 
+def test_build_setup_reads_each_field_from_its_key():
+    # the objects are built from key tables in field order: every field
+    # must read its own key, here at values no other key shares
+    cfg = dict(DEFAULTS, tm_s=2e-4, n_pings=300, rho_ab_m=4.5, t_start_s=1.5,
+               dither="none", seed=9, c_mps=2.9e8, delta0_s=2e-8,
+               a_scale_s=3e-8, sigma_j_s=1.5e-9, sigma_c_s=2.5e-9,
+               grid_f_lo_hz=-900.0, grid_f_hi_hz=800.0, grid_df_hz=0.5,
+               grid_refine=7, budget_ppm=12.0, budget_f_step_hz=0.5,
+               budget_fd_min_hz=3.0, budget_fd_max_hz=900.0,
+               budget_phi_step_rad=0.2, budget_rho_max_m=80.0,
+               budget_rho_step_m=0.04)
+    setup = build_setup(cfg)
+    assert setup.scenario == ScenarioConfig(
+        t_m=2e-4, n_pings=300, rho_ab=4.5, t_start=1.5, dither="none", seed=9)
+    assert setup.consts == ProtocolConstants(c=2.9e8, f_nominal=1e8,
+                                             delta_0=2e-8, a_scale=3e-8)
+    assert setup.noise == NoiseParams(sigma_j=1.5e-9, sigma_c=2.5e-9)
+    assert setup.grid == SearchGrid(f_lo=-900.0, f_hi=800.0, df=0.5,
+                                    refine=7)
+    assert setup.budget_inputs == BudgetInputs(
+        f0_hz=1e8, ppm=12.0, f_step_hz=0.5, f_d_min_hz=3.0, f_d_max_hz=900.0,
+        phi_step_rad=0.2, rho_max_m=80.0, rho_step_m=0.04)
+
+
 # ----------------------------------------------------------------------
 # CLI commands
 # ----------------------------------------------------------------------
@@ -215,7 +256,9 @@ def test_budget_refuses_a_lottery_without_beats(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "config error: no valid frequency pairs under these inputs: "
         "f0_hz = 100000, budget_ppm = 10, budget_f_step_hz = 1, "
-        "budget_fd_min_hz = 2, budget_fd_max_hz = 1000\n")
+        "budget_fd_min_hz = 2, budget_fd_max_hz = 1000, "
+        "budget_phi_step_rad = 0.1, budget_rho_max_m = 100, "
+        "budget_rho_step_m = 0.02\n")
     out = tmp_path / "epoch.csv"
     assert main(["simulate", "--config", str(cfgp), "--out", str(out)]) == 0
     assert len(_lines(out)) == 4 + 10_000
@@ -533,7 +576,7 @@ def test_table_writers_match_per_row_writer(tmp_path_factory, t_prime,
                      runtime=t_prime) for i, (t, y) in enumerate(cells)]
     sim, sweep = work / "sim.csv", work / "sweep.csv"
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_run_epoch", lambda s: (epoch, None))
+        mp.setattr(RunSetup, "run_epoch", lambda s: (epoch, None))
         mp.setattr(cli, "run_sweep", lambda *a, **k: rows)
         assert main(["simulate", "--out", str(sim)]) == 0
         assert main(["sweep", "--values", "500", "--trials", "1",
@@ -634,15 +677,16 @@ def test_cell_formatter_holds_with_an_exponent_estimate_one_off(
                                              for v in floats)
 
 
-def _recording(monkeypatch, name):
-    """Wrap cli.<name> so that each call's result is kept."""
-    real, seen = getattr(cli, name), []
+def _recording(monkeypatch, name, owner=cli):
+    """Wrap owner.<name> (a function of cli by default, or a method) so
+    that each call's result is kept."""
+    real, seen = getattr(owner, name), []
 
     def wrapper(*args, **kwargs):
         seen.append(real(*args, **kwargs))
         return seen[-1]
 
-    monkeypatch.setattr(cli, name, wrapper)
+    monkeypatch.setattr(owner, name, wrapper)
     return seen
 
 
@@ -653,7 +697,7 @@ def test_simulate_csv_matches_per_row_writer(tmp_path, monkeypatch, n_pings):
     # simulated epoch's own numbers
     cfgp = tmp_path / "run.cfg"
     cfgp.write_text(f"n_pings = {n_pings}\n")
-    epochs = _recording(monkeypatch, "_run_epoch")
+    epochs = _recording(monkeypatch, "run_epoch", RunSetup)
     out = tmp_path / "epoch.csv"
     assert main(["simulate", "--config", str(cfgp), "--out", str(out)]) == 0
     setup = build_setup(load_config(str(cfgp)))
@@ -904,6 +948,38 @@ def test_sweep_single_value_row(tmp_path):
     assert float(runtime) == 0.0
 
 
+def test_sweep_fits_the_configured_protocol():
+    # a climex row is the protected exchange fitted with the public
+    # amplitude and the replayed dither, as if wired by hand; the sweep
+    # ran the plain exchange whatever the protocol, giving the rtt row
+    cfg = dict(DEFAULTS, protocol="climex")
+    row, = run_sweep(cfg, [500.0], 1)
+    setup = build_setup(dict(cfg, offset_b_hz=cfg["offset_a_hz"] - 500.0))
+    epoch, _ = run_climex_epoch(setup.initiator, setup.responder,
+                                setup.scenario, setup.consts, setup.noise)
+    t_test = epoch.t_prime + setup.t_test_offset
+    ce = complete_estimate(
+        epoch, setup.initiator.f_hz, setup.consts, grid=setup.grid,
+        amplitude=setup.consts.a_scale,
+        delta_vec=replay_dither(setup.scenario, setup.consts), t_test=t_test)
+    f_d_true = setup.initiator.f_hz - setup.responder.f_hz
+    want = SweepRow(
+        f_d_true=f_d_true, trial=0, seed=cfg["seed"],
+        f_d_err=ce.estimate.f_d_hat - f_d_true,
+        phi_test_err=phase_error(
+            ce.phi_test_hat, measure_phi_test_local(setup.responder, t_test)),
+        rho_err=ce.estimate.rho_hat - setup.scenario.rho_ab, runtime=0.0)
+
+    def bits(r):
+        return [v.hex() if isinstance(v, float) else v
+                for v in dataclasses.astuple(r)]
+
+    assert bits(row) == bits(want)
+    rtt_row, = run_sweep(dict(cfg, protocol="rtt"), [500.0], 1)
+    assert bits(rtt_row) != bits(row)
+    assert abs(row.f_d_err) < 0.5 and abs(row.rho_err) < 0.02
+
+
 def test_sweep_rejects_bad_values_list(tmp_path):
     assert main(["sweep", "--values", "2,abc"]) == 2
 
@@ -1078,29 +1154,98 @@ def test_config_errors_exit_2(tmp_path, capsys):
              "rho_ae_m must be non-negative, got -2"),
             ("rho_be_m = -0.5\n", ["simulate"],
              "rho_be_m must be non-negative, got -0.5"),
-            # BudgetInputs' own messages, which named no key
+            # BudgetInputs' own messages, which named no key, then every
+            # budget key
             ("budget_fd_min_hz = 5000\n", ["budget"],
-             "need 0 < f_d_min <= f_d_max: budget_fd_min_hz = 5000, "
-             "budget_fd_max_hz = 1000"),
+             "need 0 < f_d_min <= f_d_max: " + _budget_keys(
+                 budget_fd_min_hz=5000)),
             ("budget_ppm = 0\n", ["budget"],
-             "budget inputs must be positive: budget_ppm = 0"),
+             "budget inputs must be positive: " + _budget_keys(
+                 budget_ppm=0)),
+            # a 2 pi phase step or a distance step past the range has a
+            # 0-bit field; a larger one printed bits_phi = -1 or
+            # bits_rho = -1 and exited 0
+            ("budget_phi_step_rad = 7\n", ["budget"],
+             "need phi_step <= 2 pi and rho_step <= rho_max: " + _budget_keys(
+                 budget_phi_step_rad=7)),
+            ("budget_rho_step_m = 200\n", ["budget"],
+             "need phi_step <= 2 pi and rho_step <= rho_max: " + _budget_keys(
+                 budget_rho_step_m=200)),
             # a 2 Hz lottery holds 2 pairs at a 2 Hz beat but no pair
             # area, whose log2 exited 1 with "math domain error"
             ("f0_hz = 2e5\n", ["budget"],
              "no valid pair area under these inputs: the offset lottery is "
-             "no wider than f_d_min, or f_d_min = f_d_max: f0_hz = 200000, "
-             "budget_ppm = 10, budget_f_step_hz = 1, budget_fd_min_hz = 2, "
-             "budget_fd_max_hz = 1000"),
-            # the tick engine drifts past 1e3 s: ~5 ns at 1e7 s, unnamed
+             "no wider than f_d_min, or f_d_min = f_d_max: " + _budget_keys(
+                 f0_hz=200000)),
+            # the library's refusals below named no key: each is
+            # followed by the keys of the object that refused
+            # the tick engine drifts past 1e3 s: ~5 ns at 1e7 s
             ("t_start_s = 1e7\n", ["simulate"],
              "start time t_start = 10000000.0 s is outside +-1000 s, where "
-             "the tick engine meets the closed forms"),
+             "the tick engine meets the closed forms: " + _scenario_keys(
+                 t_start_s="1e+07")),
             ("t_start_s = -1.001e3\n", ["estimate"],
              "start time t_start = -1001.0 s is outside +-1000 s, where "
-             "the tick engine meets the closed forms")):
+             "the tick engine meets the closed forms: " + _scenario_keys(
+                 t_start_s=-1001)),
+            ("t_start_s = 5e3\n", ["simulate"],
+             "start time t_start = 5000.0 s is outside +-1000 s, where "
+             "the tick engine meets the closed forms: " + _scenario_keys(
+                 t_start_s=5000)),
+            ("tm_s = -1e-4\n", ["simulate"],
+             "ping interval t_m must be positive: " + _scenario_keys(
+                 tm_s=-0.0001)),
+            ("n_pings = 0\n", ["simulate"],
+             "n_pings must be at least 1: " + _scenario_keys(n_pings=0)),
+            ("rho_ab_m = -1\n", ["simulate"],
+             "negative initiator-responder distance: " + _scenario_keys(
+                 rho_ab_m=-1)),
+            ("grid_df_hz = 0\n", ["simulate"],
+             "df must be positive: grid_f_lo_hz = -1000, grid_f_hi_hz = "
+             "1000, grid_df_hz = 0, grid_refine = 10"),
+            ("grid_refine = 0\n", ["simulate"],
+             "refine must be at least 1: grid_f_lo_hz = -1000, "
+             "grid_f_hi_hz = 1000, grid_df_hz = 1, grid_refine = 0"),
+            ("delta0_s = -1e-9\n", ["simulate"],
+             "delta_0 must be non-negative: c_mps = 2.99792e+08, "
+             "f0_hz = 1e+08, delta0_s = -1e-09, a_scale_s = 2.5e-08"),
+            ("a_scale_s = 0\n", ["simulate"],
+             "c, f_nominal and a_scale must be positive: c_mps = "
+             "2.99792e+08, f0_hz = 1e+08, delta0_s = 2.5e-08, a_scale_s = 0"),
+            ("c_mps = 0\n", ["simulate"],
+             "c, f_nominal and a_scale must be positive: c_mps = 0, "
+             "f0_hz = 1e+08, delta0_s = 2.5e-08, a_scale_s = 2.5e-08"),
+            ("sigma_j_s = -1e-9\n", ["simulate"],
+             "noise sigmas must be non-negative: sigma_j_s = -1e-09, "
+             "sigma_c_s = 2e-09"),
+            # the responder runs at f0_hz - 187 Hz
+            ("f0_hz = -1\n", ["simulate"],
+             "clock frequency must be positive: f0_hz = -1, offset_b_hz = "
+             "-187, theta_b_rad = 0")):
         cfgp.write_text(text)
         assert main(argv + ["--config", str(cfgp)]) == 2
         assert capsys.readouterr().err == f"config error: {named}\n"
+
+
+def _keys_text(keys, **changed):
+    """``key = value`` for each of ``keys``, at its default (a float
+    printed as ``%g``) unless ``changed`` gives another value."""
+    return ", ".join(
+        f"{k} = {changed[k]}" if k in changed
+        else f"{k} = {DEFAULTS[k]:g}" if isinstance(DEFAULTS[k], float)
+        else f"{k} = {DEFAULTS[k]}" for k in keys)
+
+
+def _budget_keys(**changed):
+    return _keys_text(("f0_hz", "budget_ppm", "budget_f_step_hz",
+                       "budget_fd_min_hz", "budget_fd_max_hz",
+                       "budget_phi_step_rad", "budget_rho_max_m",
+                       "budget_rho_step_m"), **changed)
+
+
+def _scenario_keys(**changed):
+    return _keys_text(("tm_s", "n_pings", "rho_ab_m", "t_start_s", "dither",
+                       "seed"), **changed)
 
 
 def test_non_finite_config_value_exits_2(tmp_path, capsys):

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from climex import (
     BudgetInputs,
@@ -144,6 +145,12 @@ def test_inputs_validation():
         BudgetInputs(f_d_min_hz=5.0, f_d_max_hz=2.0)
     with pytest.raises(ValueError):
         BudgetInputs(f_d_min_hz=0.0)
+    # a step past the range leaves the quantity less than one state,
+    # a negative bit width
+    for bad in ({"phi_step_rad": 7.0}, {"rho_step_m": 200.0}):
+        with pytest.raises(ValueError, match="need phi_step <= 2 pi and "
+                                             "rho_step <= rho_max"):
+            BudgetInputs(**bad)
 
 
 # ----------------------------------------------------------------------
@@ -151,9 +158,52 @@ def test_inputs_validation():
 # ----------------------------------------------------------------------
 
 
-def test_key_length_matches_budget():
-    k = derive_key(1.0e8 + 313.0, 1.0e8 - 187.0, 1.23, 50.0, BudgetInputs())
-    assert len(k) == 36
+@st.composite
+def _key_material(draw):
+    """Valid budget inputs whose lottery holds a usable pair, and key
+    material inside them: a lattice pair (never the last offset, whose
+    cell is the single point +half_span), a phase and a distance."""
+    span = draw(st.floats(0.01, 1.0e4))
+    steps = draw(st.integers(1, 4000))
+    f_d_min = draw(st.floats(1e-3, span))
+    inputs = BudgetInputs(
+        f0_hz=1.0e8, ppm=span / 100.0, f_step_hz=span / steps,
+        f_d_min_hz=f_d_min,
+        f_d_max_hz=draw(st.floats(f_d_min, 2.0 * span)),
+        # 2 pi and rho_max are the widest steps: a field of 0 bits
+        phi_step_rad=draw(st.sampled_from([2.0 * math.pi, 1e-3])
+                          | st.floats(1e-3, 2.0 * math.pi)),
+        rho_max_m=(rho_max := draw(st.floats(1e-2, 1e3))),
+        rho_step_m=rho_max * draw(st.sampled_from([1.0, 1e-4])
+                                  | st.floats(1e-4, 1.0)))
+    n = inputs.n_freq
+    k_min, k_max = inputs._beat_steps()
+    assume(k_min <= min(k_max, n - 2))
+    k = draw(st.integers(k_min, min(k_max, n - 2)))
+    i = draw(st.integers(0, n - 2 - k))
+    ij = (i, i + k) if draw(st.booleans()) else (i + k, i)
+    f = [inputs.f0_hz - inputs.half_span_hz + (x + 0.5) * inputs.f_step_hz
+         for x in ij]
+    phi = draw(st.floats(-100.0, 100.0))
+    rho = draw(st.floats(0.0, rho_max))
+    return inputs, (f[0], f[1], phi, rho)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_key_material())
+def test_key_length_matches_budget(material):
+    # every field is as wide as the budget's floor bit width, a 0-bit
+    # one too, so the key is bits_total_floor long
+    inputs, args = material
+    try:
+        rep = budget(inputs)
+    except ValueError as exc:
+        # the pairs span no area: f_d_min is the lottery's width
+        assert "no valid pair area" in str(exc)
+        return
+    k = derive_key(*args, inputs)
+    assert min(rep.bits_f, rep.bits_phi, rep.bits_rho) >= 0
+    assert len(k) == rep.bits_total_floor
     assert set(k) <= {"0", "1"}
 
 
@@ -193,6 +243,17 @@ def test_key_range_errors():
     narrow = BudgetInputs(f_d_max_hz=100.0)
     with pytest.raises(KeyRangeError):
         derive_key(1.0e8 + 313.0, 1.0e8 - 187.0, 1.0, 50.0, narrow)
+    # a value that is not finite is named; each raised a bare ValueError
+    # from math.floor, and an infinite phase a RuntimeWarning from fold
+    good = [1.0e8 + 313.0, 1.0e8 - 187.0, 1.0, 50.0]
+    for pos, name in enumerate(("f_initiator_hz", "f_responder_hz",
+                                "phi_test_rad", "rho_m")):
+        for bad in (math.nan, math.inf, -math.inf):
+            args = list(good)
+            args[pos] = bad
+            with pytest.raises(KeyRangeError, match=f"^{name} must be "
+                                                    f"finite, got {bad!r}$"):
+                derive_key(*args, inp)
 
 
 def test_total_log_is_consistent():
