@@ -224,7 +224,7 @@ def from_config(cfg: dict, keys, make, *args, **kwargs):
         return make(*args, **kwargs)
     except (ValueError, CausalityError) as exc:
         raise ConfigError(f"{exc}: " + ", ".join(
-            f"{k} = {cfg[k]:g}" if isinstance(cfg[k], float)
+            f"{k} = {cfg[k]!r}" if isinstance(cfg[k], float)
             else f"{k} = {cfg[k]}" for k in keys)) from None
 
 
@@ -247,12 +247,12 @@ def build_setup(cfg: dict) -> RunSetup:
                               f"got {cfg[key]}")
     for key in ("rho_ae_m", "rho_be_m"):
         if cfg[key] < 0.0:
-            raise ConfigError(f"{key} must be non-negative, got {cfg[key]:g}")
+            raise ConfigError(f"{key} must be non-negative, got {cfg[key]!r}")
     if not cfg["detect_k"] > 0.0:
-        raise ConfigError(f"detect_k must be positive, got {cfg['detect_k']:g}")
+        raise ConfigError(f"detect_k must be positive, got {cfg['detect_k']!r}")
     if not 0.0 <= cfg["detect_trim"] < 0.5:
         raise ConfigError(f"detect_trim must be in [0, 0.5), "
-                          f"got {cfg['detect_trim']:g}")
+                          f"got {cfg['detect_trim']!r}")
     if cfg["attack"] != "none" and not 1 <= cfg["attack_n"] <= cfg["n_pings"]:
         raise ConfigError(f"attack_n must be in [1, n_pings] when attack is "
                           f"on, got attack_n = {cfg['attack_n']} with "
@@ -269,8 +269,8 @@ def build_setup(cfg: dict) -> RunSetup:
     # in f, so a grid that wide holds exact alias ties
     if grid.f_hi - grid.f_lo >= 1.0 / scenario.t_m:
         raise ConfigError(
-            f"search grid span {grid.f_hi - grid.f_lo:g} Hz must be below "
-            f"the alias period 1 / tm_s = {1.0 / scenario.t_m:g} Hz")
+            f"search grid span {grid.f_hi - grid.f_lo!r} Hz must be below "
+            f"the alias period 1 / tm_s = {1.0 / scenario.t_m!r} Hz")
     return RunSetup(
         protocol=cfg["protocol"], initiator=initiator, responder=responder,
         scenario=scenario, consts=consts, noise=noise, grid=grid,

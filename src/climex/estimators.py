@@ -85,6 +85,25 @@ the blocks keep their shape.  The arrays are built by the same
 expressions either way, so a fit is bit for bit the same from a fresh
 or a reused plan.
 
+The fit's working arrays that are as long as the comb live in a
+scratch (see :class:`_Scratch`), one per thread, for the comb length
+the thread fitted last: the sample-phasor angle, d, d2, table index,
+step and p0 of :func:`_unit_phasors`, the zero-padded ladder buffer,
+the readout's ramp, the resultant's angle and unit phasors, and the
+smoothed fold mean's x and CDF arrays, both Phi arguments as one (2,
+m) block.  Each is written with ``out=``, by
+the same operations in the same order as into a fresh array, so the
+outputs are the same bit for bit; a warm fit allocates none of them,
+so a loop of fits does not fault them back in after the allocator
+trims its heap.  A masked refit still takes fresh copies of its kept
+samples.  Plan arrays and everything a fit returns or stores are never
+scratch.  The scratch holds 10 floats per ping (80 kB per 1000 pings)
+plus the ladder plan's length L in complex values, until the thread
+fits another comb length or ends; with the ladder plan's memo (its
+chirp and kernel, about n + L phasors, and its two refine tables,
+about 2 sqrt(n) x 21 phasors, for each of two combs) this is what the
+estimator holds between fits.
+
 Phase stage.  At the selected frequency the resultant angle xi of the
 sample phasors locates the epoch's constant level on the fold circle,
 phase plus floor, known only jointly (mod a).  The floor, which carries
@@ -100,6 +119,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -219,11 +239,81 @@ def dither_cycles(delta_vec, consts: ProtocolConstants, n: int):
 
 
 # ======================================================================
+# the fit's scratch
+# ======================================================================
+
+
+class _Scratch:
+    """One thread's working arrays for fits on an n-ping comb, written
+    with ``out=``, so that a warm fit allocates none of them.
+
+    ``block`` holds 10 rows of n floats, which stages that never overlap
+    share; a complex array takes two rows, from an even row, so it is
+    aligned as a fresh one is.
+
+    - The sample phasors: p0 in rows 0-1, the angle in row 2, the f_start
+      ramp and then d in row 3, d2 in row 4, the table index in row 5
+      (its bytes seen as int64) and the phasor step in rows 6-7.
+    - The readout, once p0 is spent: the ramp in row 0, the resultant's
+      unit phasors in rows 2-3 and its angle and frequency term in rows
+      4-5, then the smoothed fold mean's x and its four (2, m) CDF
+      arrays in rows 1-9.
+
+    A masked refit of m < n samples takes contiguous prefixes of the
+    readout's rows (see :meth:`rows`).  ``padded``, the coarse ladder's
+    zero-padded buffer, is as long as the comb's ladder plan, which
+    for a short comb is many times n (Bluestein's L >= n + K - 1), so
+    it is held apart, sized on first use.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.block = np.empty(10 * n)
+        self.padded = np.empty(0, dtype=complex)
+
+    def rows(self, first: int, count: int, m: int) -> np.ndarray:
+        """``count`` rows of length m <= n from row ``first``, as one
+        contiguous (count, m) block."""
+        start = first * self.n
+        return self.block[start:start + count * m].reshape(count, m)
+
+    def complex_row(self, first: int, m: int) -> np.ndarray:
+        """m complex values in rows ``first`` (even) and ``first + 1``."""
+        start = first * self.n
+        return self.block[start:start + 2 * m].view(complex)
+
+    def ladder(self, size: int) -> np.ndarray:
+        """The coarse ladder's buffer of ``size`` complex values."""
+        if self.padded.size != size:
+            self.padded = np.empty(size, dtype=complex)
+        return self.padded
+
+
+class _ThreadScratch(threading.local):
+    """Each thread's scratch, for the comb length it fitted last."""
+
+    def __init__(self):
+        self.work: _Scratch | None = None
+
+
+_SCRATCH = _ThreadScratch()
+
+
+def _scratch(n: int) -> _Scratch:
+    """This thread's scratch for a fit on an n-ping comb; it replaces a
+    scratch for another length."""
+    work = _SCRATCH.work
+    if work is None or work.n != n:
+        work = _SCRATCH.work = _Scratch(n)
+    return work
+
+
+# ======================================================================
 # the sweep core
 # ======================================================================
 
 
-def _norm_cdf(z: np.ndarray) -> np.ndarray:
+def _norm_cdf(z: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Standard normal CDF via the Abramowitz-Stegun 7.1.26 erf
     polynomial (|error| < 1.5e-7, far below the noise scales here).
 
@@ -234,14 +324,18 @@ def _norm_cdf(z: np.ndarray) -> np.ndarray:
     IEEE operation as in that expression with its operands in the same
     order, so the result is the same bit for bit, nan payloads included
     (a vectorised product of two nans keeps the sign of one of them).
+    ``work``, a float block of shape (4,) + z.shape, holds the four
+    arrays (z may be its first row, which is then overwritten); the
+    result is its last row.
     """
-    x = np.asarray(z, dtype=float) / np.sqrt(2.0)
-    s = np.sign(x)
+    x, s, t, e = work
+    np.divide(z, np.sqrt(2.0), out=x)
+    np.sign(x, out=s)
     np.abs(x, out=x)
-    t = np.multiply(0.3275911, x)
+    np.multiply(0.3275911, x, out=t)
     np.add(1.0, t, out=t)
     np.divide(1.0, t, out=t)
-    e = np.negative(x)
+    np.negative(x, out=e)
     np.multiply(e, x, out=e)
     np.exp(e, out=e)
     poly = np.multiply(t, 1.061405429, out=x)
@@ -256,7 +350,8 @@ def _norm_cdf(z: np.ndarray) -> np.ndarray:
     return e
 
 
-def _smoothed_fold_mean(q: np.ndarray, a: float, sigma: float) -> float:
+def _smoothed_fold_mean(q: np.ndarray, a: float, sigma: float,
+                        work: _Scratch) -> float:
     """Mean of the folded model over the epoch's sample phases, with the
     fold smoothed by Gaussian timing noise of scale sigma.
 
@@ -265,37 +360,53 @@ def _smoothed_fold_mean(q: np.ndarray, a: float, sigma: float) -> float:
     the sample phases live on a coarse lattice (rational f_d t_m): the
     sharp lattice mean wobbles by up to half a lattice cell as the
     candidate phase moves, while the smoothed mean is flat, which keeps
-    the phase/rho readout stable.
+    the phase/rho readout stable.  Both Phi arguments go through one
+    :func:`_norm_cdf` call as a (2, m) block; ``work``, a fit's scratch,
+    holds x and that call's arrays.
     """
-    x = a * q
+    m = q.size
+    block = work.rows(1, 9, m)
+    x = np.multiply(a, q, out=block[0])
     if sigma <= 0.0:
-        return float(x.mean())
+        return float(np.add.reduce(x) / m)
     # x + a (Phi(-x/sigma) - Phi((x-a)/sigma)), step by step in place,
     # operands in the expression's order (see _norm_cdf)
-    u = np.negative(x)
+    cdf_work = block[1:].reshape(4, 2, m)
+    u = cdf_work[0]
+    np.negative(x, out=u[0])
+    np.subtract(x, a, out=u[1])
     np.divide(u, sigma, out=u)
-    corr = _norm_cdf(u)
-    np.subtract(x, a, out=u)
-    np.divide(u, sigma, out=u)
-    np.subtract(corr, _norm_cdf(u), out=corr)
+    phi = _norm_cdf(u, cdf_work)
+    corr = np.subtract(phi[0], phi[1], out=phi[0])
     np.multiply(a, corr, out=corr)
     np.add(x, corr, out=corr)
-    return float(corr.mean())
+    return float(np.add.reduce(corr) / m)
 
 
-def _circular_level(t, y, dphase, a, f):
+def _circular_level(t, y, dphase, a, f, work: _Scratch):
     """Resultant angle and implied noise scale at a fixed frequency.
 
     The angle locates the epoch's constant level on the fold circle
     (phase plus floor, confounded mod a); the resultant length R gives
     a wrapped-normal noise-scale readback sigma = (a/2pi) sqrt(-2 ln R).
+    ``work``, a fit's scratch, holds the angle and the unit phasors.
     """
-    ang = _TWO_PI * (y / a - dphase - f * t)
-    v = np.exp(1j * ang).mean()
+    m = y.size
+    unit = work.complex_row(2, m)
+    ang, term = work.rows(4, 2, m)
+    # 2 pi (y / a - dphase - f t), then exp(1j ang), as exact expressions
+    np.divide(y, a, out=ang)
+    ang -= dphase
+    np.multiply(f, t, out=term)
+    ang -= term
+    ang *= _TWO_PI
+    np.multiply(1j, ang, out=unit)
+    np.exp(unit, out=unit)
+    v = np.add.reduce(unit) / m
     xi = fold((a / _TWO_PI) * float(np.angle(v)), a)
     r = min(float(np.abs(v)), 1.0)
     if r <= 0.0:
-        r = 1.0 / y.size
+        r = 1.0 / m
     sigma = (a / _TWO_PI) * np.sqrt(-2.0 * np.log(r))
     return xi, float(sigma)
 
@@ -384,7 +495,7 @@ _COS2, _COS4 = _CELL ** 2 / 2.0, _CELL ** 4 / 24.0
 _SIN3 = _CELL ** 3 / 6.0
 
 
-def _unit_phasors(x):
+def _unit_phasors(x, work: _Scratch | None = None):
     """exp(2 pi i x) for a float array x, without a complex exp; x is not
     written.
 
@@ -401,17 +512,30 @@ def _unit_phasors(x):
     That error is far below the noise contrast of any ladder, and the
     phasors feed only argmax calls (see the module docstring).  Costs
     about a third of the complex exp on 10^4 samples, and holds two
-    real and two complex arrays of x's length at its peak.
+    real and two complex arrays of x's length at its peak: fresh ones,
+    or, for the sample phasors of a fit, the rows of its scratch
+    ``work``, whose p0 is then the result.
     """
-    d = np.rint(x)
+    if work is None:
+        d, d2 = np.empty((2,) + x.shape)
+        index = np.empty(x.shape, dtype=np.int64)
+        p = np.empty(x.shape, dtype=complex)
+        step = np.empty(x.shape, dtype=complex)
+    else:
+        d, d2 = work.rows(3, 2, x.size)
+        index = work.rows(5, 1, x.size)[0].view(np.int64)
+        p, step = work.complex_row(0, x.size), work.complex_row(6, x.size)
+    np.rint(x, out=d)
     np.subtract(x, d, out=d)
     d *= _TABLE_SIZE
-    d2 = np.rint(d)
+    np.rint(d, out=d2)
     d -= d2
-    # a negative k counts from the end of the table, as it should
-    p = _UNIT_TABLE.take(d2.astype(np.int64))
+    np.copyto(index, d2, casting="unsafe")
+    # k is in -1024 .. 1024, and a negative k counts from the end of the
+    # table, as it should: "wrap" is exact there, and unlike the default
+    # "raise" it writes straight into out
+    _UNIT_TABLE.take(index, out=p, mode="wrap")
     np.multiply(d, d, out=d2)
-    step = np.empty(d.shape, dtype=complex)
     cos, sin = step.real, step.imag
     np.multiply(d2, _COS4, out=cos)
     cos -= _COS2
@@ -424,14 +548,16 @@ def _unit_phasors(x):
     return p
 
 
-def _sample_phasors(t, y, dphase, a, f_start):
+def _sample_phasors(t, y, dphase, a, f_start, work: _Scratch):
     """The sample phasors p0 = exp(2 pi i (y / a - dphase -
     f_start t)), which feed the coarse ladder and start the refine
-    window."""
-    ang = y / a
+    window, in ``work``, a fit's scratch."""
+    ang, ramp = work.rows(2, 2, y.size)
+    np.divide(y, a, out=ang)
     ang -= dphase
-    ang -= f_start * t
-    return _unit_phasors(ang)
+    np.multiply(f_start, t, out=ramp)
+    ang -= ramp
+    return _unit_phasors(ang, work)
 
 
 class _LadderPlan(NamedTuple):
@@ -521,13 +647,15 @@ def _window_mags(p, shift, step, count, plan):
     return mags
 
 
-def _ladder_mags(p0, count, plan):
+def _ladder_mags(p0, count, plan, work: _Scratch):
     """|R_k|, k = 0 .. count - 1, from the sample phasors p0, zero-padded
     to the plan's length: bins 0 .. count - 1 of their DFT on a
     DFT-aligned comb; on any other, p0 times the plan's chirp, convolved
-    with its kernel by FFT (Bluestein)."""
+    with its kernel by FFT (Bluestein).  The padded buffer is the
+    scratch ``work``'s, zeroed past p0 on each call."""
     n = p0.size
-    x = np.zeros(plan.size, dtype=complex)
+    x = work.ladder(plan.size)
+    x[n:] = 0.0
     if plan.chirp is None:
         x[:n] = p0
     else:
@@ -590,15 +718,16 @@ def grid_search(epoch: MeasurementEpoch, consts: ProtocolConstants, *,
             f"below the alias period 1 / t_m = {1.0 / epoch.t_m:g} Hz")
     step = grid.df / grid.refine
     plan = _ladder_plan(epoch.t_m, t.size, grid.df, n_coarse, step)
+    work = _scratch(t.size)
     # dropped pings keep their place in the comb with a zero phasor; the
     # readout takes the kept samples only
-    cur = _sample_phasors(t, y, dphase, a, grid.f_lo)
+    cur = _sample_phasors(t, y, dphase, a, grid.f_lo, work)
     if keep is not None:
         cur *= keep
         t, y = t[keep], y[keep]
         if delta_vec is not None:
             dphase = dphase[keep]
-    mags = _ladder_mags(cur, n_coarse, plan)
+    mags = _ladder_mags(cur, n_coarse, plan, work)
     i_c = int(np.argmax(mags))          # first occurrence: smallest f wins ties
     f_c = grid.f_lo + grid.df * i_c
     at_edge = i_c in (0, n_coarse - 1)
@@ -611,7 +740,7 @@ def grid_search(epoch: MeasurementEpoch, consts: ProtocolConstants, *,
     i_f = int(np.argmax(_window_mags(cur, (f_start - grid.f_lo) * epoch.t_m,
                                      step * epoch.t_m, k_hi - k_lo + 1,
                                      plan)))
-    del cur                 # not held through the readout's temporaries
+    del cur                 # its scratch rows go to the readout
     f_hat = f_c + step * (k_lo + i_f)
 
     # Phase/floor readout.  The resultant angle xi pins phase + floor
@@ -619,13 +748,14 @@ def grid_search(epoch: MeasurementEpoch, consts: ProtocolConstants, *,
     # against the smoothed fold model and then removed from xi.  The
     # first pass takes the fold mean as a/2; two passes settle the
     # coupling.
-    ramp = f_hat * t + dphase
-    xi, sigma = _circular_level(t, y, dphase, a, f_hat)
-    y_mean = float(y.mean())
+    ramp = np.multiply(f_hat, t, out=work.rows(0, 1, t.size)[0])
+    ramp += dphase
+    xi, sigma = _circular_level(t, y, dphase, a, f_hat, work)
+    y_mean = float(np.add.reduce(y) / y.size)
     p_hat = fold((xi - y_mean + 0.5 * a) / a, 1.0)
     for _ in range(2):
         q = fold(ramp + p_hat, 1.0)
-        level = _smoothed_fold_mean(q, a, sigma)
+        level = _smoothed_fold_mean(q, a, sigma, work)
         rho_hat = 0.5 * consts.c * (y_mean - level - consts.delta_0)
         p_hat = fold((xi - consts.delta_0 - 2.0 * rho_hat / consts.c) / a, 1.0)
     phi_hat = _TWO_PI * p_hat

@@ -69,10 +69,16 @@ def fold(x, period):
     is the exact ``fmod`` plus 1 once for a negative remainder, so it
     rounds the real number ``x - floor(x)`` once; the floor is exact and
     the subtraction rounds that same real number once.  Everything else
-    (scalars, integer arrays, other periods) goes through ``np.mod``.
+    (integer arrays, other periods) goes through ``np.mod``, except a
+    float scalar, which takes Python's ``%``: the same rule as
+    ``np.mod`` (the fmod, plus the period once for a negative remainder,
+    +0 for a zero one) without the array round trip.
     """
     if period <= 0.0:
         raise ValueError("period must be positive")
+    if isinstance(x, float):
+        v = float(x % period)
+        return 0.0 if v >= period else v
     if period == 1.0 and isinstance(x, np.ndarray) and x.dtype.kind == "f":
         out = x - np.floor(x)
     else:
@@ -220,11 +226,14 @@ def draw_epoch_noise(n_pings: int, noise: NoiseParams, rng=None):
 
     Returns ``(inner, outer)``.  The inner vector is drawn first; with
     a zero sigma the draws still consume generator state, so stream
-    alignment between runs does not depend on the noise level.
+    alignment between runs does not depend on the noise level.  Each
+    vector is ``normal(0, sigma)`` bit for bit, written as numpy computes
+    it, 0 + sigma z on the same standard normal draws, without its
+    per-element call.
     """
     g = as_generator(rng)
-    inner = g.normal(0.0, noise.sigma_inner, size=n_pings)
-    outer = g.normal(0.0, noise.sigma_outer, size=n_pings)
+    inner = g.standard_normal(n_pings) * noise.sigma_inner + 0.0
+    outer = g.standard_normal(n_pings) * noise.sigma_outer + 0.0
     return inner, outer
 
 

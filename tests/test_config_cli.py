@@ -255,9 +255,9 @@ def test_budget_refuses_a_lottery_without_beats(tmp_path, capsys):
     assert main(["budget", "--config", str(cfgp)]) == 2
     assert capsys.readouterr().err == (
         "config error: no valid frequency pairs under these inputs: "
-        "f0_hz = 100000, budget_ppm = 10, budget_f_step_hz = 1, "
-        "budget_fd_min_hz = 2, budget_fd_max_hz = 1000, "
-        "budget_phi_step_rad = 0.1, budget_rho_max_m = 100, "
+        "f0_hz = 100000.0, budget_ppm = 10.0, budget_f_step_hz = 1.0, "
+        "budget_fd_min_hz = 2.0, budget_fd_max_hz = 1000.0, "
+        "budget_phi_step_rad = 0.1, budget_rho_max_m = 100.0, "
         "budget_rho_step_m = 0.02\n")
     out = tmp_path / "epoch.csv"
     assert main(["simulate", "--config", str(cfgp), "--out", str(out)]) == 0
@@ -1132,17 +1132,17 @@ def test_config_errors_exit_2(tmp_path, capsys):
             # a ping interval under one clock period exited 1 unnamed
             ("tm_s = 1e-9\n", ["simulate"],
              "ping interval shorter than one clock period: tm_s = 1e-09, "
-             "f0_hz = 1e+08"),
+             "f0_hz = 100000000.0"),
             ("f0_hz = 1e3\n", ["estimate"],
              "ping interval shorter than one clock period: tm_s = 0.0001, "
-             "f0_hz = 1000"),
+             "f0_hz = 1000.0"),
             # detect_k <= 0 flagged every slot; a bad trim or a negative
             # listener distance exited 1 without naming the key
             ("n_pings = 200\nattack = random\nattack_n = 40\n"
-             "detect_k = 0\n", ["detect"], "detect_k must be positive, got 0"),
+             "detect_k = 0\n", ["detect"], "detect_k must be positive, got 0.0"),
             ("n_pings = 200\nattack = random\nattack_n = 40\n"
              "detect_k = -1\n", ["detect"],
-             "detect_k must be positive, got -1"),
+             "detect_k must be positive, got -1.0"),
             ("n_pings = 200\nattack = random\nattack_n = 40\n"
              "detect_trim = 0.7\n", ["detect"],
              "detect_trim must be in [0, 0.5), got 0.7"),
@@ -1151,47 +1151,47 @@ def test_config_errors_exit_2(tmp_path, capsys):
              "detect_trim must be in [0, 0.5), got -0.1"),
             ("n_pings = 200\nattack = random\nattack_n = 40\n"
              "rho_ae_m = -2\n", ["detect"],
-             "rho_ae_m must be non-negative, got -2"),
+             "rho_ae_m must be non-negative, got -2.0"),
             ("rho_be_m = -0.5\n", ["simulate"],
              "rho_be_m must be non-negative, got -0.5"),
             # BudgetInputs' own messages, which named no key, then every
             # budget key
             ("budget_fd_min_hz = 5000\n", ["budget"],
              "need 0 < f_d_min <= f_d_max: " + _budget_keys(
-                 budget_fd_min_hz=5000)),
+                 budget_fd_min_hz=5000.0)),
             ("budget_ppm = 0\n", ["budget"],
              "budget inputs must be positive: " + _budget_keys(
-                 budget_ppm=0)),
+                 budget_ppm=0.0)),
             # a 2 pi phase step or a distance step past the range has a
             # 0-bit field; a larger one printed bits_phi = -1 or
             # bits_rho = -1 and exited 0
             ("budget_phi_step_rad = 7\n", ["budget"],
              "need phi_step <= 2 pi and rho_step <= rho_max: " + _budget_keys(
-                 budget_phi_step_rad=7)),
+                 budget_phi_step_rad=7.0)),
             ("budget_rho_step_m = 200\n", ["budget"],
              "need phi_step <= 2 pi and rho_step <= rho_max: " + _budget_keys(
-                 budget_rho_step_m=200)),
+                 budget_rho_step_m=200.0)),
             # a 2 Hz lottery holds 2 pairs at a 2 Hz beat but no pair
             # area, whose log2 exited 1 with "math domain error"
             ("f0_hz = 2e5\n", ["budget"],
              "no valid pair area under these inputs: the offset lottery is "
              "no wider than f_d_min, or f_d_min = f_d_max: " + _budget_keys(
-                 f0_hz=200000)),
+                 f0_hz=200000.0)),
             # the library's refusals below named no key: each is
             # followed by the keys of the object that refused
             # the tick engine drifts past 1e3 s: ~5 ns at 1e7 s
             ("t_start_s = 1e7\n", ["simulate"],
              "start time t_start = 10000000.0 s is outside +-1000 s, where "
              "the tick engine meets the closed forms: " + _scenario_keys(
-                 t_start_s="1e+07")),
+                 t_start_s=10000000.0)),
             ("t_start_s = -1.001e3\n", ["estimate"],
              "start time t_start = -1001.0 s is outside +-1000 s, where "
              "the tick engine meets the closed forms: " + _scenario_keys(
-                 t_start_s=-1001)),
+                 t_start_s=-1001.0)),
             ("t_start_s = 5e3\n", ["simulate"],
              "start time t_start = 5000.0 s is outside +-1000 s, where "
              "the tick engine meets the closed forms: " + _scenario_keys(
-                 t_start_s=5000)),
+                 t_start_s=5000.0)),
             ("tm_s = -1e-4\n", ["simulate"],
              "ping interval t_m must be positive: " + _scenario_keys(
                  tm_s=-0.0001)),
@@ -1199,41 +1199,53 @@ def test_config_errors_exit_2(tmp_path, capsys):
              "n_pings must be at least 1: " + _scenario_keys(n_pings=0)),
             ("rho_ab_m = -1\n", ["simulate"],
              "negative initiator-responder distance: " + _scenario_keys(
-                 rho_ab_m=-1)),
+                 rho_ab_m=-1.0)),
             ("grid_df_hz = 0\n", ["simulate"],
-             "df must be positive: grid_f_lo_hz = -1000, grid_f_hi_hz = "
-             "1000, grid_df_hz = 0, grid_refine = 10"),
+             "df must be positive: grid_f_lo_hz = -1000.0, grid_f_hi_hz = "
+             "1000.0, grid_df_hz = 0.0, grid_refine = 10"),
             ("grid_refine = 0\n", ["simulate"],
-             "refine must be at least 1: grid_f_lo_hz = -1000, "
-             "grid_f_hi_hz = 1000, grid_df_hz = 1, grid_refine = 0"),
+             "refine must be at least 1: grid_f_lo_hz = -1000.0, "
+             "grid_f_hi_hz = 1000.0, grid_df_hz = 1.0, grid_refine = 0"),
             ("delta0_s = -1e-9\n", ["simulate"],
-             "delta_0 must be non-negative: c_mps = 2.99792e+08, "
-             "f0_hz = 1e+08, delta0_s = -1e-09, a_scale_s = 2.5e-08"),
+             "delta_0 must be non-negative: c_mps = 299792458.0, "
+             "f0_hz = 100000000.0, delta0_s = -1e-09, a_scale_s = 2.5e-08"),
             ("a_scale_s = 0\n", ["simulate"],
              "c, f_nominal and a_scale must be positive: c_mps = "
-             "2.99792e+08, f0_hz = 1e+08, delta0_s = 2.5e-08, a_scale_s = 0"),
+             "299792458.0, f0_hz = 100000000.0, delta0_s = 2.5e-08, "
+             "a_scale_s = 0.0"),
             ("c_mps = 0\n", ["simulate"],
-             "c, f_nominal and a_scale must be positive: c_mps = 0, "
-             "f0_hz = 1e+08, delta0_s = 2.5e-08, a_scale_s = 2.5e-08"),
+             "c, f_nominal and a_scale must be positive: c_mps = 0.0, "
+             "f0_hz = 100000000.0, delta0_s = 2.5e-08, a_scale_s = 2.5e-08"),
             ("sigma_j_s = -1e-9\n", ["simulate"],
              "noise sigmas must be non-negative: sigma_j_s = -1e-09, "
              "sigma_c_s = 2e-09"),
             # the responder runs at f0_hz - 187 Hz
             ("f0_hz = -1\n", ["simulate"],
-             "clock frequency must be positive: f0_hz = -1, offset_b_hz = "
-             "-187, theta_b_rad = 0")):
+             "clock frequency must be positive: f0_hz = -1.0, offset_b_hz = "
+             "-187.0, theta_b_rad = 0.0"),
+            # a value just past a bound prints as given, not rounded
+            # into the bound (6.28319 would read as inside 2 pi)
+            ("budget_phi_step_rad = 6.2831854\n", ["budget"],
+             "need phi_step <= 2 pi and rho_step <= rho_max: " + _budget_keys(
+                 budget_phi_step_rad=6.2831854)),
+            # a grid 0.0005 Hz wider than the alias period, which six
+            # significant digits would print as equal
+            ("tm_s = 1.0000001e-4\ngrid_f_lo_hz = -5000\n"
+             "grid_f_hi_hz = 4999.9995\n", ["simulate"],
+             "search grid span 9999.9995 Hz must be below the alias period "
+             "1 / tm_s = 9999.9990000001 Hz")):
         cfgp.write_text(text)
         assert main(argv + ["--config", str(cfgp)]) == 2
         assert capsys.readouterr().err == f"config error: {named}\n"
 
 
 def _keys_text(keys, **changed):
-    """``key = value`` for each of ``keys``, at its default (a float
-    printed as ``%g``) unless ``changed`` gives another value."""
+    """``key = value`` for each of ``keys``, at its default unless
+    ``changed`` gives another value, a float printed as its ``repr``."""
+    values = dict(DEFAULTS, **changed)
     return ", ".join(
-        f"{k} = {changed[k]}" if k in changed
-        else f"{k} = {DEFAULTS[k]:g}" if isinstance(DEFAULTS[k], float)
-        else f"{k} = {DEFAULTS[k]}" for k in keys)
+        f"{k} = {values[k]!r}" if isinstance(values[k], float)
+        else f"{k} = {values[k]}" for k in keys)
 
 
 def _budget_keys(**changed):

@@ -9,6 +9,8 @@ observed values but stay well inside the documented targets.
 """
 
 import dataclasses
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -38,11 +40,17 @@ from climex import (
     run_rtt_epoch,
 )
 from climex import estimators
-from climex.adversary import eve_estimate_rtt, eve_tdoa_epoch
+from climex.adversary import (
+    detect_outliers,
+    eve_estimate_rtt,
+    eve_tdoa_epoch,
+    robust_parameter_fit,
+)
 from climex.config import DEFAULTS, build_setup
 from climex.estimators import (
     _ALIGN_SLIP,
     _LadderPlan,
+    _Scratch,
     _bluestein,
     _dft_len,
     _fast_len,
@@ -96,11 +104,12 @@ def _chirp_z_mags(t, y, dphase, a, f_start, f_step, count, weight=None):
     N = 10^5 and tau = 10^-4 s the transform meets the loop to about
     1e-11 N (at most 1.3e-11 of the peak on locked epochs, three seeds).
     """
-    p0 = _sample_phasors(t, y, dphase, a, f_start)
+    work = _Scratch(t.size)
+    p0 = _sample_phasors(t, y, dphase, a, f_start, work)
     if weight is not None:
         p0 *= weight
     return _ladder_mags(p0, count, _bluestein_plan(f_step * t[1], t.size,
-                                                   count))
+                                                   count), work)
 
 
 def _bluestein_plan(c, n, count):
@@ -284,7 +293,7 @@ def test_refine_window_matches_loop(n, count, log_step, shift, seed, locked,
     if not masked:
         keep[:] = True
     t = np.arange(n, dtype=float)          # t_m = 1: frequencies in cycles
-    p = _sample_phasors(t, y, dphase, a, 0.0) * keep
+    p = _sample_phasors(t, y, dphase, a, 0.0, _Scratch(n)) * keep
     plan = _ladder_plan(1.0, n, 1.0, 1, step)
     win = _window_mags(p, shift, step, count, plan)
     loop = resultant_mags(t[keep], y[keep], dphase[keep], a, shift, step,
@@ -342,11 +351,12 @@ def test_fft_ladder_is_the_chirp_z_ladder_on_aligned_combs(m, fill, reach,
     assert _dft_len(1.0 / m, n, count) == m
     tau = 10.0 ** log_tau
     y, dphase, a, keep = _ladder_inputs(seed, n, locked)
-    p0 = _sample_phasors(tau * np.arange(n), y, dphase, a, lo / tau)
+    work = _Scratch(n)
+    p0 = _sample_phasors(tau * np.arange(n), y, dphase, a, lo / tau, work)
     if masked:
         p0 *= keep
-    fft = _ladder_mags(p0, count, _fft_plan(m))
-    czt = _ladder_mags(p0, count, _bluestein_plan(1.0 / m, n, count))
+    fft = _ladder_mags(p0, count, _fft_plan(m), work)
+    czt = _ladder_mags(p0, count, _bluestein_plan(1.0 / m, n, count), work)
     assert np.max(np.abs(fft - czt)) <= 1e-12 * n
     assume(not _near_tie(czt))
     assert np.argmax(fft) == np.argmax(czt)
@@ -474,9 +484,9 @@ def _cold_and_warm(monkeypatch, epoch, consts, **kw):
     def no_bluestein(*args):
         raise AssertionError("warm fit built a chirp")
 
-    def unit_phasors(x):
+    def unit_phasors(x, *work):
         calls.append("phasors")
-        return real_phasors(x)
+        return real_phasors(x, *work)
 
     def window(p, shift, step, count, plan):
         calls.append("window")
@@ -619,9 +629,10 @@ def test_alignment_slip_bound_at_its_edge():
     assert _dft_len(float(np.nextafter(c, 1.0)), n, count) is None
     tau = 1.0e-4
     y, dphase, a, _ = _ladder_inputs(11, n, locked=True)
-    p0 = _sample_phasors(tau * np.arange(n), y, dphase, a, 0.0)
-    fft = _ladder_mags(p0, count, _fft_plan(m))
-    exact = _ladder_mags(p0, count, _bluestein_plan(c, n, count))
+    work = _Scratch(n)
+    p0 = _sample_phasors(tau * np.arange(n), y, dphase, a, 0.0, work)
+    fft = _ladder_mags(p0, count, _fft_plan(m), work)
+    exact = _ladder_mags(p0, count, _bluestein_plan(c, n, count), work)
     bound = (2.0 * np.pi * _ALIGN_SLIP + 1e-12) * n
     assert np.max(np.abs(fft - exact)) <= bound
     assert np.argmax(fft) == np.argmax(exact)
@@ -844,6 +855,150 @@ def test_wide_refine_window_runs_in_bounded_memory():
     fine = resultant_mags(t, y, 0.0, a, f_c - wide.df, step, 2001)
     assert not _near_tie(coarse) and not _near_tie(fine)
     assert est.f_d_hat == f_c + step * (int(np.argmax(fine)) - 1000)
+
+
+# ----------------------------------------------------------------------
+# the fit's scratch
+# ----------------------------------------------------------------------
+
+
+def _hex_fields(est):
+    return {f.name: (getattr(est, f.name).hex()
+                     if isinstance(getattr(est, f.name), float)
+                     else getattr(est, f.name))
+            for f in dataclasses.fields(est)}
+
+
+def test_fit_is_the_same_in_every_scratch_order(clock_pair, scenario, consts,
+                                                desk_noise):
+    # a fit writes its working arrays into this thread's scratch for its
+    # comb length; whatever an earlier fit left there, or after a fit of
+    # another length replaced it, a plain, a masked (2251 of 3001 pings,
+    # so odd lengths and prefix rows) and a climex fit give the answer
+    # they give from a fresh scratch
+    ini, res = clock_pair(271.3)
+    amp = 1.0 / consts.f_nominal
+    plain, _ = run_rtt_epoch(ini, res, scenario(n_pings=3001, seed=41),
+                             consts, desk_noise)
+    other, _ = run_rtt_epoch(ini, res, scenario(n_pings=2500, seed=42),
+                             consts, desk_noise)
+    dithered, log = run_climex_epoch(
+        ini, res, scenario(n_pings=3001, seed=43, dither="uniform"),
+        consts, desk_noise)
+    mask = np.ones(plain.n, dtype=bool)
+    mask[1::4] = False
+    fits = {
+        "plain": lambda: grid_search(plain, consts, amplitude=amp),
+        "other length": lambda: grid_search(other, consts, amplitude=amp),
+        "masked": lambda: grid_search(plain, consts, amplitude=amp,
+                                      sample_mask=mask),
+        "climex": lambda: grid_search(dithered, consts,
+                                      amplitude=consts.a_scale,
+                                      delta_vec=log.delta),
+    }
+    cold = {}
+    for name, fit in fits.items():
+        estimators._SCRATCH.work = None
+        cold[name] = _hex_fields(fit())
+    for name in ("plain", "masked", "climex"):
+        for before in fits:
+            estimators._SCRATCH.work = None
+            fits[before]()
+            assert _hex_fields(fits[name]()) == cold[name], (name, before)
+        assert _hex_fields(fits[name]()) == cold[name]      # warm
+
+
+def test_threads_fit_as_they_do_serially(clock_pair, scenario, consts,
+                                         desk_noise):
+    # each thread has its own scratch: four threads fitting four epochs
+    # of one comb length at once, switching as often as the interpreter
+    # lets them, get the serial answers every time
+    ini, res = clock_pair(431.9)
+    amp = 1.0 / consts.f_nominal
+    epochs = [run_rtt_epoch(ini, res, scenario(n_pings=4000, seed=seed),
+                            consts, desk_noise)[0] for seed in range(51, 55)]
+    serial = [_hex_fields(grid_search(ep, consts, amplitude=amp))
+              for ep in epochs]
+    assert len({str(fit) for fit in serial}) == 4
+    start = threading.Barrier(4)
+    got = [None] * 4
+
+    def run(i):
+        start.wait(timeout=30)
+        got[i] = [_hex_fields(grid_search(epochs[i], consts, amplitude=amp))
+                  for _ in range(8)]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert got == [[fit] * 8 for fit in serial]
+
+
+def test_no_returned_array_is_scratch():
+    # what a fit, a robust refit, a detection or a listener fit returns
+    # is its own: no array of it shares memory with the scratch the call
+    # left behind
+    s = build_setup(dict(DEFAULTS))
+    epoch, log = run_exchange(s.initiator, s.responder, s.scenario, s.consts,
+                              s.noise)
+    short = build_setup(dict(DEFAULTS, n_pings=200))
+    short_epoch, _ = run_exchange(short.initiator, short.responder,
+                                  short.scenario, short.consts, short.noise)
+    amp = 1.0 / s.consts.f_nominal
+    calls = [
+        lambda: grid_search(epoch, s.consts, grid=s.grid),
+        lambda: robust_parameter_fit(epoch, s.consts, amplitude=amp,
+                                     grid=s.grid),
+        lambda: detect_outliers(epoch, grid_search(epoch, s.consts,
+                                                   grid=s.grid),
+                                s.consts, amp),
+        lambda: eve_estimate_rtt(eve_tdoa_epoch(log, s.rho_ae, s.rho_be,
+                                                s.noise, 9000),
+                                 s.consts, grid=s.grid),
+        lambda: robust_parameter_fit(short_epoch, short.consts,
+                                     amplitude=amp, grid=short.grid),
+    ]
+    lengths = set()
+    for call in calls:
+        out = call()
+        work = estimators._SCRATCH.work
+        lengths.add(work.n)
+        for value in out if isinstance(out, tuple) else (out,):
+            if dataclasses.is_dataclass(value):
+                assert all(type(getattr(value, f.name)) in (float, bool)
+                           for f in dataclasses.fields(value))
+            else:
+                assert isinstance(value, np.ndarray)
+                assert not np.shares_memory(value, work.block)
+                assert not np.shares_memory(value, work.padded)
+    assert lengths == {10_000, 200}
+
+
+def test_warm_default_fit_peak_allocation():
+    # a warm default fit writes its phasors, ladder buffer, resultant and
+    # smoothed fold mean into its scratch; what it still allocates (the
+    # folded ramp, the model and cost, the ladder's magnitudes) peaks
+    # near 340 kB, and one more 10^4-ping complex working array (160 kB)
+    # would pass 420 kB
+    s = build_setup(dict(DEFAULTS))
+    epoch, _ = run_exchange(s.initiator, s.responder, s.scenario, s.consts,
+                            s.noise)
+    grid_search(epoch, s.consts, grid=s.grid)
+    tracemalloc.start()
+    try:
+        grid_search(epoch, s.consts, grid=s.grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 420_000
 
 
 def test_grid_search_refuses_aliased_grid(clock_pair, scenario, consts,

@@ -28,6 +28,7 @@ from climex.adversary import (
 )
 from climex.config import DEFAULTS, build_setup
 from climex.estimators import (
+    _Scratch,
     _bluestein,
     _norm_cdf,
     _smoothed_fold_mean,
@@ -152,15 +153,24 @@ def test_fold_is_the_np_mod_fold_bit_for_bit(x, period):
 
 def test_fold_is_the_np_mod_fold_on_random_bit_patterns():
     # every exponent and sign, each pattern equally likely: nan
-    # payloads, subnormals and huge magnitudes all turn up
+    # payloads, subnormals and huge magnitudes all turn up; then values
+    # within a few periods of zero, where the latch folds, for the
+    # period-1 latch and periods of every scale, as arrays and as
+    # Python float scalars
     rng = np.random.default_rng(20)
     bits = rng.integers(0, 2 ** 64, size=200_000, dtype=np.uint64)
-    x = np.concatenate([bits.view(np.float64), _SPECIAL,
-                        rng.normal(size=50_000)
-                        * 10.0 ** rng.uniform(-20.0, 20.0, 50_000)])
-    x.flags.writeable = False           # a write would raise
-    with np.errstate(invalid="ignore"):
-        assert _same_bits(fold(x, 1.0), _ref_fold(x.copy(), 1.0))
+    spread = rng.normal(size=50_000) * 10.0 ** rng.uniform(-20.0, 20.0,
+                                                          50_000)
+    near = rng.uniform(-1.5, 2.5, 50_000)
+    for period in (1.0, 2.0 * np.pi, 1.0e-8, 0.75, 3.0e5, 2.0 ** -30):
+        x = np.concatenate([bits.view(np.float64), _SPECIAL, spread,
+                            near * period, -near * period * 1e-17])
+        x.flags.writeable = False           # a write would raise
+        with np.errstate(invalid="ignore"):
+            assert _same_bits(fold(x, period), _ref_fold(x.copy(), period))
+            for v in x[::97].tolist():
+                got, want = fold(v, period), _ref_fold(v, period)
+                assert type(got) is float and got.hex() == want.hex()
 
 
 @settings(max_examples=60, deadline=None)
@@ -193,7 +203,8 @@ _CDF_ARRAYS = st.one_of(
 def test_norm_cdf_is_the_one_line_cdf_bit_for_bit(z):
     before = z.copy()
     with np.errstate(all="ignore"):
-        got, want = _norm_cdf(z), _ref_norm_cdf(z)
+        got = _norm_cdf(z, np.empty((4,) + z.shape))
+        want = _ref_norm_cdf(z)
     assert _same_bits(got, want)
     assert _same_bits(z, before)
 
@@ -207,7 +218,7 @@ def test_smoothed_fold_mean_is_the_one_line_mean_bit_for_bit(q, a,
                                                              sigma_rel):
     before = q.copy()
     sigma = sigma_rel * a
-    got = _smoothed_fold_mean(q, a, sigma)
+    got = _smoothed_fold_mean(q, a, sigma, _Scratch(q.size))
     want = _ref_smoothed_fold_mean(q, a, sigma)
     assert type(got) is float and got.hex() == want.hex()
     assert _same_bits(q, before)
