@@ -85,24 +85,22 @@ the blocks keep their shape.  The arrays are built by the same
 expressions either way, so a fit is bit for bit the same from a fresh
 or a reused plan.
 
-The fit's working arrays that are as long as the comb live in a
-scratch (see :class:`_Scratch`), one per thread, for the comb length
-the thread fitted last: the sample-phasor angle, d, d2, table index,
-step and p0 of :func:`_unit_phasors`, the zero-padded ladder buffer,
-the readout's ramp, the resultant's angle and unit phasors, and the
-smoothed fold mean's x and CDF arrays, both Phi arguments as one (2,
-m) block.  Each is written with ``out=``, by
-the same operations in the same order as into a fresh array, so the
-outputs are the same bit for bit; a warm fit allocates none of them,
-so a loop of fits does not fault them back in after the allocator
-trims its heap.  A masked refit still takes fresh copies of its kept
-samples.  Plan arrays and everything a fit returns or stores are never
-scratch.  The scratch holds 10 floats per ping (80 kB per 1000 pings)
-plus the ladder plan's length L in complex values, until the thread
-fits another comb length or ends; with the ladder plan's memo (its
-chirp and kernel, about n + L phasors, and its two refine tables,
-about 2 sqrt(n) x 21 phasors, for each of two combs) this is what the
-estimator holds between fits.
+The fit's working arrays that are as long as the comb (the sample
+phasors and their temporaries, the readout's ramp, the resultant's
+angle and unit phasors, and the smoothed fold mean's x and CDF arrays,
+both Phi arguments as one (2, m) block) are taken from a per-thread
+stack scratch (see :class:`_Scratch`) and written with ``out=``, by the
+same operations in the same order as into a fresh array, so the outputs
+are the same bit for bit; a warm fit allocates none of them, so a loop
+of fits does not fault them back in after the allocator trims its heap.
+A masked refit still takes fresh copies of its kept samples.  Plan
+arrays and everything a fit returns or stores are never scratch.  The
+scratch holds 10 floats per ping of the thread's longest comb (80 kB
+per 1000 pings) for the thread's life, plus the last ladder plan's
+length L in complex values; with the ladder plan's memo (its chirp and
+kernel, about n + L phasors, and its two refine tables, about 2 sqrt(n)
+x 21 phasors, for each of two combs) this is what the estimator holds
+between fits.
 
 Phase stage.  At the selected frequency the resultant angle xi of the
 sample phasors locates the epoch's constant level on the fold circle,
@@ -125,7 +123,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .signal_model import MeasurementEpoch, ProtocolConstants, fold
+from .signal_model import (MeasurementEpoch, ProtocolConstants, fold,
+                           require_finite)
 
 __all__ = [
     "SearchGrid",
@@ -159,8 +158,7 @@ class SearchGrid:
 
     def __post_init__(self):
         # they key the ladder plan, where a NaN would never match
-        if not all(np.isfinite((self.f_lo, self.f_hi, self.df))):
-            raise ValueError("f_lo, f_hi and df must be finite")
+        require_finite(f_lo=self.f_lo, f_hi=self.f_hi, df=self.df)
         if not self.f_hi > self.f_lo:
             raise ValueError("need f_hi > f_lo")
         if self.df <= 0.0:
@@ -243,69 +241,52 @@ def dither_cycles(delta_vec, consts: ProtocolConstants, n: int):
 # ======================================================================
 
 
-class _Scratch:
-    """One thread's working arrays for fits on an n-ping comb, written
-    with ``out=``, so that a warm fit allocates none of them.
+class _Scratch(threading.local):
+    """One thread's working arrays for its fits: a stack in one float
+    block, so that a warm fit allocates none of them.
 
-    ``block`` holds 10 rows of n floats, which stages that never overlap
-    share; a complex array takes two rows, from an even row, so it is
-    aligned as a fresh one is.
+    A stage of a fit is a ``with`` block that takes its arrays (see
+    :meth:`take`) and gives them back when it exits, so stages that
+    never overlap share floats.  A take past the block's end gets a
+    fresh array; a stage that exits with nothing left taken grows the
+    block to the most the thread has taken at once, so the next fit
+    takes every array from it.  The block never shrinks, and a fresh
+    ``_Scratch()``, whose block is empty, hands out fresh arrays.
 
-    - The sample phasors: p0 in rows 0-1, the angle in row 2, the f_start
-      ramp and then d in row 3, d2 in row 4, the table index in row 5
-      (its bytes seen as int64) and the phasor step in rows 6-7.
-    - The readout, once p0 is spent: the ramp in row 0, the resultant's
-      unit phasors in rows 2-3 and its angle and frequency term in rows
-      4-5, then the smoothed fold mean's x and its four (2, m) CDF
-      arrays in rows 1-9.
-
-    A masked refit of m < n samples takes contiguous prefixes of the
-    readout's rows (see :meth:`rows`).  ``padded``, the coarse ladder's
-    zero-padded buffer, is as long as the comb's ladder plan, which
-    for a short comb is many times n (Bluestein's L >= n + K - 1), so
-    it is held apart, sized on first use.
+    ``padded``, the coarse ladder's zero-padded buffer, is as long as
+    the ladder plan, for a short comb many times n (Bluestein's L >= n
+    + K - 1), so it is held apart and sized to the last ladder.
     """
 
-    def __init__(self, n: int):
-        self.n = n
-        self.block = np.empty(10 * n)
-        self.padded = np.empty(0, dtype=complex)
-
-    def rows(self, first: int, count: int, m: int) -> np.ndarray:
-        """``count`` rows of length m <= n from row ``first``, as one
-        contiguous (count, m) block."""
-        start = first * self.n
-        return self.block[start:start + count * m].reshape(count, m)
-
-    def complex_row(self, first: int, m: int) -> np.ndarray:
-        """m complex values in rows ``first`` (even) and ``first + 1``."""
-        start = first * self.n
-        return self.block[start:start + 2 * m].view(complex)
-
-    def ladder(self, size: int) -> np.ndarray:
-        """The coarse ladder's buffer of ``size`` complex values."""
-        if self.padded.size != size:
-            self.padded = np.empty(size, dtype=complex)
-        return self.padded
-
-
-class _ThreadScratch(threading.local):
-    """Each thread's scratch, for the comb length it fitted last."""
-
     def __init__(self):
-        self.work: _Scratch | None = None
+        self.block = np.empty(0)
+        self.padded = np.empty(0, dtype=complex)
+        self.top = self.peak = 0
+        self.marks = []
+
+    def __enter__(self):
+        self.marks.append(self.top)
+        return self
+
+    def __exit__(self, *exc):
+        self.top = top = self.marks.pop()
+        if top == 0 and self.block.size < self.peak:
+            self.block = np.empty(self.peak)
+
+    def take(self, shape, dtype=float) -> np.ndarray:
+        """An array of ``shape`` and ``dtype`` (float, np.int64 or
+        complex) from the top of the block; a complex one starts on an
+        even float, so it is aligned as a fresh one is."""
+        wide = 2 if dtype is complex else 1
+        start = self.top + (self.top & (wide - 1))
+        self.top = end = start + wide * math.prod(shape)
+        if end > self.block.size:       # the peak matters only past it
+            self.peak = max(self.peak, end)
+            return np.empty(shape, dtype)
+        return np.ndarray(shape, dtype, self.block, 8 * start)
 
 
-_SCRATCH = _ThreadScratch()
-
-
-def _scratch(n: int) -> _Scratch:
-    """This thread's scratch for a fit on an n-ping comb; it replaces a
-    scratch for another length."""
-    work = _SCRATCH.work
-    if work is None or work.n != n:
-        work = _SCRATCH.work = _Scratch(n)
-    return work
+_SCRATCH = _Scratch()
 
 
 # ======================================================================
@@ -361,26 +342,27 @@ def _smoothed_fold_mean(q: np.ndarray, a: float, sigma: float,
     sharp lattice mean wobbles by up to half a lattice cell as the
     candidate phase moves, while the smoothed mean is flat, which keeps
     the phase/rho readout stable.  Both Phi arguments go through one
-    :func:`_norm_cdf` call as a (2, m) block; ``work``, a fit's scratch,
-    holds x and that call's arrays.
+    :func:`_norm_cdf` call as a (2, m) block; x and that call's arrays
+    are taken from the scratch ``work``.
     """
     m = q.size
-    block = work.rows(1, 9, m)
-    x = np.multiply(a, q, out=block[0])
-    if sigma <= 0.0:
-        return float(np.add.reduce(x) / m)
-    # x + a (Phi(-x/sigma) - Phi((x-a)/sigma)), step by step in place,
-    # operands in the expression's order (see _norm_cdf)
-    cdf_work = block[1:].reshape(4, 2, m)
-    u = cdf_work[0]
-    np.negative(x, out=u[0])
-    np.subtract(x, a, out=u[1])
-    np.divide(u, sigma, out=u)
-    phi = _norm_cdf(u, cdf_work)
-    corr = np.subtract(phi[0], phi[1], out=phi[0])
-    np.multiply(a, corr, out=corr)
-    np.add(x, corr, out=corr)
-    return float(np.add.reduce(corr) / m)
+    with work:
+        block = work.take((9, m))
+        x = np.multiply(a, q, out=block[0])
+        if sigma <= 0.0:
+            return float(np.add.reduce(x) / m)
+        # x + a (Phi(-x/sigma) - Phi((x-a)/sigma)), step by step in place,
+        # operands in the expression's order (see _norm_cdf)
+        cdf_work = block[1:].reshape(4, 2, m)
+        u = cdf_work[0]
+        np.negative(x, out=u[0])
+        np.subtract(x, a, out=u[1])
+        np.divide(u, sigma, out=u)
+        phi = _norm_cdf(u, cdf_work)
+        corr = np.subtract(phi[0], phi[1], out=phi[0])
+        np.multiply(a, corr, out=corr)
+        np.add(x, corr, out=corr)
+        return float(np.add.reduce(corr) / m)
 
 
 def _circular_level(t, y, dphase, a, f, work: _Scratch):
@@ -389,20 +371,21 @@ def _circular_level(t, y, dphase, a, f, work: _Scratch):
     The angle locates the epoch's constant level on the fold circle
     (phase plus floor, confounded mod a); the resultant length R gives
     a wrapped-normal noise-scale readback sigma = (a/2pi) sqrt(-2 ln R).
-    ``work``, a fit's scratch, holds the angle and the unit phasors.
+    The angle and the unit phasors are taken from the scratch ``work``.
     """
     m = y.size
-    unit = work.complex_row(2, m)
-    ang, term = work.rows(4, 2, m)
-    # 2 pi (y / a - dphase - f t), then exp(1j ang), as exact expressions
-    np.divide(y, a, out=ang)
-    ang -= dphase
-    np.multiply(f, t, out=term)
-    ang -= term
-    ang *= _TWO_PI
-    np.multiply(1j, ang, out=unit)
-    np.exp(unit, out=unit)
-    v = np.add.reduce(unit) / m
+    with work:
+        unit = work.take((m,), complex)
+        ang, term = work.take((2, m))
+        # 2 pi (y / a - dphase - f t), then exp(1j ang), as exact expressions
+        np.divide(y, a, out=ang)
+        ang -= dphase
+        np.multiply(f, t, out=term)
+        ang -= term
+        ang *= _TWO_PI
+        np.multiply(1j, ang, out=unit)
+        np.exp(unit, out=unit)
+        v = np.add.reduce(unit) / m
     xi = fold((a / _TWO_PI) * float(np.angle(v)), a)
     r = min(float(np.abs(v)), 1.0)
     if r <= 0.0:
@@ -495,7 +478,7 @@ _COS2, _COS4 = _CELL ** 2 / 2.0, _CELL ** 4 / 24.0
 _SIN3 = _CELL ** 3 / 6.0
 
 
-def _unit_phasors(x, work: _Scratch | None = None):
+def _unit_phasors(x, work: _Scratch):
     """exp(2 pi i x) for a float array x, without a complex exp; x is not
     written.
 
@@ -511,20 +494,14 @@ def _unit_phasors(x, work: _Scratch | None = None):
 
     That error is far below the noise contrast of any ladder, and the
     phasors feed only argmax calls (see the module docstring).  Costs
-    about a third of the complex exp on 10^4 samples, and holds two
-    real and two complex arrays of x's length at its peak: fresh ones,
-    or, for the sample phasors of a fit, the rows of its scratch
-    ``work``, whose p0 is then the result.
+    about a third of the complex exp on 10^4 samples.  The result, then
+    its temporaries (d, d2, the int64 table index and the complex step),
+    are taken from the scratch ``work``; the caller's stage frees them.
     """
-    if work is None:
-        d, d2 = np.empty((2,) + x.shape)
-        index = np.empty(x.shape, dtype=np.int64)
-        p = np.empty(x.shape, dtype=complex)
-        step = np.empty(x.shape, dtype=complex)
-    else:
-        d, d2 = work.rows(3, 2, x.size)
-        index = work.rows(5, 1, x.size)[0].view(np.int64)
-        p, step = work.complex_row(0, x.size), work.complex_row(6, x.size)
+    p = work.take(x.shape, complex)
+    d, d2 = work.take((2,) + x.shape)
+    index = work.take(x.shape, np.int64)
+    step = work.take(x.shape, complex)
     np.rint(x, out=d)
     np.subtract(x, d, out=d)
     d *= _TABLE_SIZE
@@ -551,8 +528,9 @@ def _unit_phasors(x, work: _Scratch | None = None):
 def _sample_phasors(t, y, dphase, a, f_start, work: _Scratch):
     """The sample phasors p0 = exp(2 pi i (y / a - dphase -
     f_start t)), which feed the coarse ladder and start the refine
-    window, in ``work``, a fit's scratch."""
-    ang, ramp = work.rows(2, 2, y.size)
+    window.  They are taken from the scratch ``work`` after the angle and
+    the ramp, which the caller's stage gives back with them."""
+    ang, ramp = work.take((2, y.size))
     np.divide(y, a, out=ang)
     ang -= dphase
     np.multiply(f_start, t, out=ramp)
@@ -583,7 +561,9 @@ def _window_tables(s, n):
     k = np.arange(_WINDOW_COLS, dtype=float)
     inner = np.multiply.outer(np.arange(size, dtype=float), k)
     outer = np.multiply.outer(np.arange(0, n, size, dtype=float), k)
-    return _unit_phasors(inner * -s), _unit_phasors(outer * -s)
+    # a fresh scratch hands out fresh arrays, as a plan array must be
+    return (_unit_phasors(inner * -s, _Scratch()),
+            _unit_phasors(outer * -s, _Scratch()))
 
 
 @functools.lru_cache(maxsize=2)
@@ -654,7 +634,9 @@ def _ladder_mags(p0, count, plan, work: _Scratch):
     with its kernel by FFT (Bluestein).  The padded buffer is the
     scratch ``work``'s, zeroed past p0 on each call."""
     n = p0.size
-    x = work.ladder(plan.size)
+    if work.padded.size != plan.size:
+        work.padded = np.empty(plan.size, dtype=complex)
+    x = work.padded
     x[n:] = 0.0
     if plan.chirp is None:
         x[:n] = p0
@@ -718,46 +700,49 @@ def grid_search(epoch: MeasurementEpoch, consts: ProtocolConstants, *,
             f"below the alias period 1 / t_m = {1.0 / epoch.t_m:g} Hz")
     step = grid.df / grid.refine
     plan = _ladder_plan(epoch.t_m, t.size, grid.df, n_coarse, step)
-    work = _scratch(t.size)
-    # dropped pings keep their place in the comb with a zero phasor; the
-    # readout takes the kept samples only
-    cur = _sample_phasors(t, y, dphase, a, grid.f_lo, work)
-    if keep is not None:
-        cur *= keep
-        t, y = t[keep], y[keep]
-        if delta_vec is not None:
-            dphase = dphase[keep]
-    mags = _ladder_mags(cur, n_coarse, plan, work)
-    i_c = int(np.argmax(mags))          # first occurrence: smallest f wins ties
-    f_c = grid.f_lo + grid.df * i_c
-    at_edge = i_c in (0, n_coarse - 1)
+    # one stage, so a block too small grows once, at its end; the inner
+    # frequency stage gives the sample phasors back before the readout.
+    # Dropped pings keep a zero phasor; the readout takes the kept ones.
+    with _SCRATCH as work:
+        with work:
+            cur = _sample_phasors(t, y, dphase, a, grid.f_lo, work)
+            if keep is not None:
+                cur *= keep
+            mags = _ladder_mags(cur, n_coarse, plan, work)
+            i_c = int(np.argmax(mags))  # first occurrence: smallest f wins
+            f_c = grid.f_lo + grid.df * i_c
+            at_edge = i_c in (0, n_coarse - 1)
 
-    # +-df around the coarse pick; interior picks have grid points as
-    # neighbours so only boundary picks need one-sided windows.
-    k_lo = -grid.refine if i_c > 0 else 0
-    k_hi = grid.refine if i_c < n_coarse - 1 else 0
-    f_start = f_c + step * k_lo
-    i_f = int(np.argmax(_window_mags(cur, (f_start - grid.f_lo) * epoch.t_m,
-                                     step * epoch.t_m, k_hi - k_lo + 1,
-                                     plan)))
-    del cur                 # its scratch rows go to the readout
-    f_hat = f_c + step * (k_lo + i_f)
+            # +-df around the coarse pick; interior picks have grid points
+            # as neighbours so only boundary picks need one-sided windows.
+            k_lo = -grid.refine if i_c > 0 else 0
+            k_hi = grid.refine if i_c < n_coarse - 1 else 0
+            f_start = f_c + step * k_lo
+            i_f = int(np.argmax(_window_mags(
+                cur, (f_start - grid.f_lo) * epoch.t_m, step * epoch.t_m,
+                k_hi - k_lo + 1, plan)))
+        f_hat = f_c + step * (k_lo + i_f)
+        if keep is not None:
+            t, y = t[keep], y[keep]
+            if delta_vec is not None:
+                dphase = dphase[keep]
 
-    # Phase/floor readout.  The resultant angle xi pins phase + floor
-    # only jointly (mod a), so the floor is read from the epoch mean
-    # against the smoothed fold model and then removed from xi.  The
-    # first pass takes the fold mean as a/2; two passes settle the
-    # coupling.
-    ramp = np.multiply(f_hat, t, out=work.rows(0, 1, t.size)[0])
-    ramp += dphase
-    xi, sigma = _circular_level(t, y, dphase, a, f_hat, work)
-    y_mean = float(np.add.reduce(y) / y.size)
-    p_hat = fold((xi - y_mean + 0.5 * a) / a, 1.0)
-    for _ in range(2):
-        q = fold(ramp + p_hat, 1.0)
-        level = _smoothed_fold_mean(q, a, sigma, work)
-        rho_hat = 0.5 * consts.c * (y_mean - level - consts.delta_0)
-        p_hat = fold((xi - consts.delta_0 - 2.0 * rho_hat / consts.c) / a, 1.0)
+        # Phase/floor readout.  The resultant angle xi pins phase + floor
+        # only jointly (mod a), so the floor is read from the epoch mean
+        # against the smoothed fold model and then removed from xi.  The
+        # first pass takes the fold mean as a/2; two passes settle the
+        # coupling.
+        ramp = np.multiply(f_hat, t, out=work.take(t.shape))
+        ramp += dphase
+        xi, sigma = _circular_level(t, y, dphase, a, f_hat, work)
+        y_mean = float(np.add.reduce(y) / y.size)
+        p_hat = fold((xi - y_mean + 0.5 * a) / a, 1.0)
+        for _ in range(2):
+            q = fold(ramp + p_hat, 1.0)
+            level = _smoothed_fold_mean(q, a, sigma, work)
+            rho_hat = 0.5 * consts.c * (y_mean - level - consts.delta_0)
+            p_hat = fold((xi - consts.delta_0 - 2.0 * rho_hat / consts.c)
+                         / a, 1.0)
     phi_hat = _TWO_PI * p_hat
 
     model = model_fold_values(t, f_hat, phi_hat, a, dphase)

@@ -38,6 +38,7 @@ from .signal_model import (
     ProtocolConstants,
     draw_epoch_noise,
     fold,
+    require_finite,
 )
 
 __all__ = [
@@ -90,6 +91,7 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_finite(t_m=self.t_m, rho_ab=self.rho_ab)
         if self.t_m <= 0.0:
             raise ValueError("ping interval t_m must be positive")
         if self.n_pings < 1:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal_model import fold
+from .signal_model import fold, require_finite
 
 __all__ = [
     "KeyRangeError",
@@ -68,6 +68,7 @@ class BudgetInputs:
     rho_step_m: float = 0.02
 
     def __post_init__(self):
+        require_finite(**vars(self))
         if min(self.f0_hz, self.ppm, self.f_step_hz, self.phi_step_rad,
                self.rho_max_m, self.rho_step_m) <= 0.0:
             raise ValueError("budget inputs must be positive")
@@ -236,11 +237,9 @@ def derive_key(f_initiator_hz: float, f_responder_hz: float,
     Raises KeyRangeError when a parameter leaves the valid region or
     is not finite.
     """
-    for name, v in (("f_initiator_hz", f_initiator_hz),
-                    ("f_responder_hz", f_responder_hz),
-                    ("phi_test_rad", phi_test_rad), ("rho_m", rho_m)):
-        if not math.isfinite(v):
-            raise KeyRangeError(f"{name} must be finite, got {v!r}")
+    require_finite(KeyRangeError, f_initiator_hz=f_initiator_hz,
+                   f_responder_hz=f_responder_hz, phi_test_rad=phi_test_rad,
+                   rho_m=rho_m)
     if inputs is None:
         inputs = BudgetInputs()
     rep = budget(inputs)

@@ -26,6 +26,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,6 +96,14 @@ def fold(x, period):
 # ======================================================================
 
 
+def require_finite(error=ValueError, /, **values) -> None:
+    """Raise ``error`` naming the first of ``values`` that is not a
+    finite number."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise error(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ClockParams:
     """A free-running oscillator: frequency in Hz and phase offset in rad.
@@ -107,6 +116,7 @@ class ClockParams:
     theta_rad: float = 0.0
 
     def __post_init__(self):
+        require_finite(**vars(self))
         if self.f_hz <= 0.0:
             raise ValueError("clock frequency must be positive")
 
@@ -127,6 +137,7 @@ class NoiseParams:
     sigma_c: float = 0.0
 
     def __post_init__(self):
+        require_finite(**vars(self))
         if self.sigma_j < 0.0 or self.sigma_c < 0.0:
             raise ValueError("noise sigmas must be non-negative")
 
@@ -157,6 +168,7 @@ class ProtocolConstants:
     a_scale: float = 25.0e-9
 
     def __post_init__(self):
+        require_finite(**vars(self))
         if self.c <= 0.0 or self.f_nominal <= 0.0 or self.a_scale <= 0.0:
             raise ValueError("c, f_nominal and a_scale must be positive")
         if self.delta_0 < 0.0:

@@ -10,15 +10,15 @@ so any row can be reproduced in isolation.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import build_setup
+from .config import ConfigError, build_setup
 from .estimators import phase_error
 from .protocol_sim import measure_phi_test_local
+from .signal_model import require_finite
 
 __all__ = ["SweepRow", "log_spaced_values", "run_sweep"]
 
@@ -38,9 +38,7 @@ class SweepRow:
 
 
 def log_spaced_values(lo: float, hi: float, n: int) -> np.ndarray:
-    for name, v in (("lo", lo), ("hi", hi)):
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v!r}")
+    require_finite(lo=lo, hi=hi)
     if lo <= 0.0 or hi <= lo:
         raise ValueError("need 0 < lo < hi for log spacing")
     if n < 1:
@@ -60,14 +58,26 @@ def run_sweep(cfg: dict, f_d_values, trials: int, *,
     swept value; everything else comes from ``cfg``.  With ``timing``
     off the runtime field is 0.0 so downstream output stays
     byte-stable.
+
+    Raises ConfigError, before any trial, for a zero beat (no phase to
+    read) or one outside the config's search grid (a grid-edge fit).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    values = [float(v) for v in f_d_values]
+    lo, hi = cfg["grid_f_lo_hz"], cfg["grid_f_hi_hz"]
+    for v in values:
+        if v == 0.0:
+            raise ConfigError(f"swept beat {v!r} Hz: a zero beat leaves "
+                              f"the counterpart phase unobservable")
+        if not lo <= v <= hi:
+            raise ConfigError(f"swept beat {v!r} Hz is outside the search "
+                              f"grid [{lo!r}, {hi!r}] Hz")
     rows: list[SweepRow] = []
     base_seed = int(cfg["seed"])
-    for vi, value in enumerate(f_d_values):
+    for vi, value in enumerate(values):
         c2 = dict(cfg)
-        c2["offset_b_hz"] = float(cfg["offset_a_hz"]) - float(value)
+        c2["offset_b_hz"] = float(cfg["offset_a_hz"]) - value
         for ti in range(trials):
             c2["seed"] = base_seed + vi * trials + ti
             setup = build_setup(c2)

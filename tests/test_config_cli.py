@@ -1019,6 +1019,25 @@ def test_sweep_refuses_beats_the_grid_cannot_hold(argv, named, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("values, named", [
+    ([5000.0], "swept beat 5000.0 Hz is outside the search grid "
+               "[-1000.0, 1000.0] Hz"),
+    ([500.0, 0.0], "swept beat 0.0 Hz: a zero beat leaves the counterpart "
+                   "phase unobservable"),
+], ids=["past_grid", "zero"])
+def test_run_sweep_refuses_beats_the_grid_cannot_hold(values, named,
+                                                     monkeypatch):
+    # the library refuses them as the command does, before any trial:
+    # 5000 Hz returned a row with f_d_err = -4943 Hz and no refusal
+    def no_trial(cfg):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(climex.sweep, "build_setup", no_trial)
+    with pytest.raises(ConfigError) as exc:
+        run_sweep(dict(DEFAULTS), values, 1)
+    assert str(exc.value) == named
+
+
 def test_sweep_takes_beats_on_the_grid_edges(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--values", "1000,-1000", "--trials", "1",

@@ -104,7 +104,7 @@ def _chirp_z_mags(t, y, dphase, a, f_start, f_step, count, weight=None):
     N = 10^5 and tau = 10^-4 s the transform meets the loop to about
     1e-11 N (at most 1.3e-11 of the peak on locked epochs, three seeds).
     """
-    work = _Scratch(t.size)
+    work = _Scratch()
     p0 = _sample_phasors(t, y, dphase, a, f_start, work)
     if weight is not None:
         p0 *= weight
@@ -293,7 +293,7 @@ def test_refine_window_matches_loop(n, count, log_step, shift, seed, locked,
     if not masked:
         keep[:] = True
     t = np.arange(n, dtype=float)          # t_m = 1: frequencies in cycles
-    p = _sample_phasors(t, y, dphase, a, 0.0, _Scratch(n)) * keep
+    p = _sample_phasors(t, y, dphase, a, 0.0, _Scratch()) * keep
     plan = _ladder_plan(1.0, n, 1.0, 1, step)
     win = _window_mags(p, shift, step, count, plan)
     loop = resultant_mags(t[keep], y[keep], dphase[keep], a, shift, step,
@@ -323,7 +323,7 @@ def test_table_phasors_are_the_exp_within_their_bound(x):
     # the bound _unit_phasors states, against the exp of the exactly
     # reduced phase; x is read-only, so a write to it would raise
     x.flags.writeable = False
-    got = _unit_phasors(x)
+    got = _unit_phasors(x, _Scratch())
     want = np.exp(2j * np.pi * (x - np.rint(x)))
     assert got.dtype == complex and got.shape == x.shape
     assert np.max(np.abs(got - want)) <= 3e-15
@@ -351,7 +351,7 @@ def test_fft_ladder_is_the_chirp_z_ladder_on_aligned_combs(m, fill, reach,
     assert _dft_len(1.0 / m, n, count) == m
     tau = 10.0 ** log_tau
     y, dphase, a, keep = _ladder_inputs(seed, n, locked)
-    work = _Scratch(n)
+    work = _Scratch()
     p0 = _sample_phasors(tau * np.arange(n), y, dphase, a, lo / tau, work)
     if masked:
         p0 *= keep
@@ -629,7 +629,7 @@ def test_alignment_slip_bound_at_its_edge():
     assert _dft_len(float(np.nextafter(c, 1.0)), n, count) is None
     tau = 1.0e-4
     y, dphase, a, _ = _ladder_inputs(11, n, locked=True)
-    work = _Scratch(n)
+    work = _Scratch()
     p0 = _sample_phasors(tau * np.arange(n), y, dphase, a, 0.0, work)
     fft = _ladder_mags(p0, count, _fft_plan(m), work)
     exact = _ladder_mags(p0, count, _bluestein_plan(c, n, count), work)
@@ -869,13 +869,21 @@ def _hex_fields(est):
             for f in dataclasses.fields(est)}
 
 
+def _cold_scratch(monkeypatch):
+    """Give this thread's fits an empty scratch, and return it."""
+    work = estimators._Scratch()
+    monkeypatch.setattr(estimators, "_SCRATCH", work)
+    assert work.block.size == 0 and work.peak == 0
+    return work
+
+
 def test_fit_is_the_same_in_every_scratch_order(clock_pair, scenario, consts,
-                                                desk_noise):
-    # a fit writes its working arrays into this thread's scratch for its
-    # comb length; whatever an earlier fit left there, or after a fit of
-    # another length replaced it, a plain, a masked (2251 of 3001 pings,
-    # so odd lengths and prefix rows) and a climex fit give the answer
-    # they give from a fresh scratch
+                                                desk_noise, monkeypatch):
+    # a fit takes its working arrays from this thread's scratch; whatever
+    # an earlier fit left there, a block grown for a shorter fit (so some
+    # arrays are fresh) or for a longer one, a plain, a masked (2251 of
+    # 3001 pings, so odd lengths) and a climex fit give the answer they
+    # give from an empty scratch
     ini, res = clock_pair(271.3)
     amp = 1.0 / consts.f_nominal
     plain, _ = run_rtt_epoch(ini, res, scenario(n_pings=3001, seed=41),
@@ -898,11 +906,12 @@ def test_fit_is_the_same_in_every_scratch_order(clock_pair, scenario, consts,
     }
     cold = {}
     for name, fit in fits.items():
-        estimators._SCRATCH.work = None
+        work = _cold_scratch(monkeypatch)
         cold[name] = _hex_fields(fit())
+        assert work.peak > 0        # the fit took from this scratch
     for name in ("plain", "masked", "climex"):
         for before in fits:
-            estimators._SCRATCH.work = None
+            _cold_scratch(monkeypatch)
             fits[before]()
             assert _hex_fields(fits[name]()) == cold[name], (name, before)
         assert _hex_fields(fits[name]()) == cold[name]      # warm
@@ -942,10 +951,11 @@ def test_threads_fit_as_they_do_serially(clock_pair, scenario, consts,
     assert got == [[fit] * 8 for fit in serial]
 
 
-def test_no_returned_array_is_scratch():
+def test_no_returned_array_is_scratch(monkeypatch):
     # what a fit, a robust refit, a detection or a listener fit returns
     # is its own: no array of it shares memory with the scratch the call
-    # left behind
+    # left behind, in a first round from an empty scratch and in a warm
+    # second round
     s = build_setup(dict(DEFAULTS))
     epoch, log = run_exchange(s.initiator, s.responder, s.scenario, s.consts,
                               s.noise)
@@ -966,11 +976,9 @@ def test_no_returned_array_is_scratch():
         lambda: robust_parameter_fit(short_epoch, short.consts,
                                      amplitude=amp, grid=short.grid),
     ]
-    lengths = set()
-    for call in calls:
+    work = _cold_scratch(monkeypatch)
+    for call in calls + calls:
         out = call()
-        work = estimators._SCRATCH.work
-        lengths.add(work.n)
         for value in out if isinstance(out, tuple) else (out,):
             if dataclasses.is_dataclass(value):
                 assert all(type(getattr(value, f.name)) in (float, bool)
@@ -979,7 +987,25 @@ def test_no_returned_array_is_scratch():
                 assert isinstance(value, np.ndarray)
                 assert not np.shares_memory(value, work.block)
                 assert not np.shares_memory(value, work.padded)
-    assert lengths == {10_000, 200}
+    assert work.block.size == 10 * 10_000        # the default fit's peak
+
+
+def test_a_short_fit_keeps_the_block(monkeypatch):
+    # the block only grows: a 200-ping fit between two 10^4-ping fits
+    # takes its arrays from the block and does not replace it
+    s = build_setup(dict(DEFAULTS))
+    epoch, _ = run_exchange(s.initiator, s.responder, s.scenario, s.consts,
+                            s.noise)
+    short = build_setup(dict(DEFAULTS, n_pings=200))
+    short_epoch, _ = run_exchange(short.initiator, short.responder,
+                                  short.scenario, short.consts, short.noise)
+    work = _cold_scratch(monkeypatch)
+    grid_search(epoch, s.consts, grid=s.grid)
+    block = work.block
+    grid_search(short_epoch, short.consts, grid=short.grid)
+    grid_search(epoch, s.consts, grid=s.grid)
+    assert work.block is block
+    assert work.top == 0 and work.peak == block.size
 
 
 def test_warm_default_fit_peak_allocation():

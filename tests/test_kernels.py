@@ -218,7 +218,7 @@ def test_smoothed_fold_mean_is_the_one_line_mean_bit_for_bit(q, a,
                                                              sigma_rel):
     before = q.copy()
     sigma = sigma_rel * a
-    got = _smoothed_fold_mean(q, a, sigma, _Scratch(q.size))
+    got = _smoothed_fold_mean(q, a, sigma, _Scratch())
     want = _ref_smoothed_fold_mean(q, a, sigma)
     assert type(got) is float and got.hex() == want.hex()
     assert _same_bits(q, before)

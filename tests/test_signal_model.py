@@ -6,11 +6,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from climex import (
+    BudgetInputs,
     ClockParams,
     MeasurementEpoch,
     NoiseParams,
     ProtocolConstants,
     SawtoothArgs,
+    ScenarioConfig,
     draw_epoch_noise,
     epoch_model,
     fold,
@@ -232,3 +234,33 @@ def test_parameter_validation():
         ProtocolConstants(a_scale=0.0)
     clk = ClockParams(f_hz=1.0e8)
     assert clk.period == 1.0e-8
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("make, field", [
+    (lambda v: ClockParams(f_hz=v), "f_hz"),
+    (lambda v: ClockParams(f_hz=1.0e8, theta_rad=v), "theta_rad"),
+    (lambda v: NoiseParams(sigma_j=v), "sigma_j"),
+    (lambda v: NoiseParams(sigma_c=v), "sigma_c"),
+    (lambda v: ProtocolConstants(c=v), "c"),
+    (lambda v: ProtocolConstants(f_nominal=v), "f_nominal"),
+    (lambda v: ProtocolConstants(delta_0=v), "delta_0"),
+    (lambda v: ProtocolConstants(a_scale=v), "a_scale"),
+    (lambda v: ScenarioConfig(t_m=v), "t_m"),
+    (lambda v: ScenarioConfig(rho_ab=v), "rho_ab"),
+    (lambda v: BudgetInputs(f0_hz=v), "f0_hz"),
+    (lambda v: BudgetInputs(ppm=v), "ppm"),
+    (lambda v: BudgetInputs(f_step_hz=v), "f_step_hz"),
+    (lambda v: BudgetInputs(f_d_min_hz=v), "f_d_min_hz"),
+    (lambda v: BudgetInputs(f_d_max_hz=v), "f_d_max_hz"),
+    (lambda v: BudgetInputs(phi_step_rad=v), "phi_step_rad"),
+    (lambda v: BudgetInputs(rho_max_m=v), "rho_max_m"),
+    (lambda v: BudgetInputs(rho_step_m=v), "rho_step_m"),
+])
+def test_parameter_records_refuse_fields_that_are_not_finite(make, field,
+                                                             value):
+    # each was accepted: ProtocolConstants(c=inf) fitted to nan without
+    # complaint, and a nan passed every comparison of the other checks
+    with pytest.raises(ValueError) as exc:
+        make(value)
+    assert str(exc.value) == f"{field} must be finite, got {value!r}"
