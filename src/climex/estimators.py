@@ -47,7 +47,8 @@ The sample phasors p0 are built without a complex exp: the phase is
 reduced exactly to the nearest whole cycle, then looked up in a
 2048-entry unit-circle table and finished by a short Taylor step (see
 :func:`_unit_phasors`), within 3e-15 of the exp at about a third of
-its cost.
+its cost.  The Bluestein chirp and the refine tables are table phasors
+in the same way.
 
 The short refine window around the coarse pick, K frequencies at step
 s = (df / refine) t_m cycles per ping, is a blocked two-level DFT of
@@ -64,9 +65,10 @@ exp per fit.  The tables hold the default window's 21 columns; a
 wider window runs in chunks of 21, so the refine stage never holds
 more than a few sqrt(N) x 21 phasors.
 
-The rule that keeps the outputs exact: p0 and everything built from it
-(the coarse and refine magnitudes, BLAS's rounding in the window's
-matrix product included) feed nothing but two argmax calls, so their
+The rule that keeps the outputs exact: p0, the Bluestein chirp and
+the refine tables, and everything built from them (the coarse and
+refine magnitudes, BLAS's rounding in the window's matrix product
+included) feed nothing but two argmax calls, so their
 rounding matters only where two candidates tie to within it; a test
 holds the picks equal to a stepping loop from fresh exps.  The
 continuous outputs are another matter: phi, rho and the noise readback
@@ -83,7 +85,11 @@ memo, the ladder plan, which keeps the two most recently used keys
 comb); a masked refit zeroes the dropped pings' phasors in place, so
 the blocks keep their shape.  The arrays are built by the same
 expressions either way, so a fit is bit for bit the same from a fresh
-or a reused plan.
+or a reused plan.  The listener's slope comb has a t_m of its own in
+every epoch, so each of its fits builds a plan; that build takes no
+complex exp over the comb (the chirp is table phasors), and the
+listener's other per-comb set-up, the comb fit's design matrix, is
+memoised by comb length (see :func:`climex.adversary._comb_design`).
 
 The fit's working arrays that are as long as the comb (the sample
 phasors and their temporaries, the readout's ramp, the resultant's
@@ -94,13 +100,15 @@ same operations in the same order as into a fresh array, so the outputs
 are the same bit for bit; a warm fit allocates none of them, so a loop
 of fits does not fault them back in after the allocator trims its heap.
 A masked refit still takes fresh copies of its kept samples.  Plan
-arrays and everything a fit returns or stores are never scratch.  The
-scratch holds 10 floats per ping of the thread's longest comb (80 kB
-per 1000 pings) for the thread's life, plus the last ladder plan's
-length L in complex values; with the ladder plan's memo (its chirp and
-kernel, about n + L phasors, and its two refine tables, about 2 sqrt(n)
-x 21 phasors, for each of two combs) this is what the estimator holds
-between fits.
+arrays and everything a fit returns or stores are never scratch (a
+Bluestein plan build takes its chirp from the scratch and keeps
+copies).  The scratch holds 10 floats per ping of the thread's longest
+comb (80 kB per 1000 pings), or 7 per coarse frequency where a short
+comb's Bluestein plan has more frequencies than pings, for the
+thread's life, plus the last ladder plan's length L in complex values;
+with the ladder plan's memo (its chirp and kernel, about n + L
+phasors, and its two refine tables, about 2 sqrt(n) x 21 phasors, for
+each of two combs) this is what the estimator holds between fits.
 
 Phase stage.  At the selected frequency the resultant angle xi of the
 sample phasors locates the epoch's constant level on the fold circle,
@@ -166,12 +174,18 @@ class SearchGrid:
         if self.refine < 1:
             raise ValueError("refine must be at least 1")
 
+    @property
+    def n_coarse(self) -> int:
+        """Size of the coarse ladder, floor((f_hi - f_lo) / df) + 1; the
+        1e-9 relative slack keeps a span that df divides up to rounding
+        (df = 0.1) at its last point."""
+        return math.floor((self.f_hi - self.f_lo) / self.df
+                          * (1.0 + 1e-9)) + 1
+
     def freq_values(self) -> np.ndarray:
-        """Coarse ladder f_lo + df k, k = 0 .. floor((f_hi - f_lo) / df),
-        never past f_hi; the 1e-9 relative slack keeps a span that df
-        divides up to rounding (df = 0.1) at its last point."""
-        n = int(np.floor((self.f_hi - self.f_lo) / self.df * (1.0 + 1e-9)))
-        return self.f_lo + self.df * np.arange(n + 1)
+        """Coarse ladder f_lo + df k, k = 0 .. n_coarse - 1, never past
+        f_hi."""
+        return self.f_lo + self.df * np.arange(self.n_coarse)
 
 
 @dataclass(frozen=True)
@@ -424,17 +438,30 @@ def _bluestein(c, n, count):
     cost: v >= 0 (the step c is never negative), halving, flooring and
     doubling are exact, and so is the final subtraction, by Sterbenz's
     lemma (2 floor(v / 2) is 0 or within a factor of two of v).
+
+    The chirp exp(i pi w), w the reduced angle v - 2 floor(v / 2) + (c -
+    c_hi) m^2, is :func:`_unit_phasors` of w / 2, within 3e-15 of the
+    complex exp of w reduced exactly to [-1, 1], at ~105 against ~225 us
+    on 10^4 pings (2-CPU x86_64 VM).  It feeds only the coarse ladder's
+    argmax, the same rule as p0 (see the module docstring).  Its
+    temporaries come from the thread's scratch: 7 floats per
+    max(n, count), below a fit's 10 per ping for any comb but a short
+    one fitted over many frequencies (200 pings and 2001 frequencies
+    hold 14 007 floats, 112 kB).
     """
     m2 = np.arange(max(n, count), dtype=float) ** 2
     c_hi = float(np.float32(c))
     v = c_hi * m2
-    chirp = np.exp(1j * np.pi * (v - 2.0 * np.floor(v * 0.5)
-                                 + (c - c_hi) * m2))
+    w = v - 2.0 * np.floor(v * 0.5) + (c - c_hi) * m2
     size = _fast_len(n + count - 1)
     kern = np.zeros(size, dtype=complex)
-    kern[:count] = chirp[:count]
-    kern[size - n + 1:] = chirp[n - 1:0:-1]
-    return chirp[:n].conj(), np.fft.fft(kern, out=kern)
+    # the plan keeps copies, never the scratch chirp itself
+    with _SCRATCH as work:
+        chirp = _unit_phasors(0.5 * w, work)
+        kern[:count] = chirp[:count]
+        kern[size - n + 1:] = chirp[n - 1:0:-1]
+        conj = chirp[:n].conj()
+    return conj, np.fft.fft(kern, out=kern)
 
 
 # the most a DFT-aligned ladder may slip against the exact one over the
@@ -576,8 +603,11 @@ def _ladder_plan(t_m, n, df, n_coarse, refine_step) -> _LadderPlan:
     Either holds the refine window's two tables (see
     :func:`_window_tables`), about 2 sqrt(n) x 21 phasors.
     Two entries hold the two combs one process fits (10^4 pings for
-    estimates and sweeps, 200 for detection); a comb whose t_m is itself
-    an estimate (the listener's slope) misses and pays today's cost.
+    estimates and sweeps, 200 for detection), which build their plans
+    once per process.  A comb whose t_m is itself an estimate (the
+    listener's least-squares slope) misses on every fit and builds its
+    plan, ~0.5 ms at 10^4 pings on a 2-CPU x86_64 VM (the chirp from the
+    table, the kernel's FFT and the refine tables).
     The arrays are shared by every caller, so they are read-only.
     """
     m = _dft_len(df * t_m, n, n_coarse)
@@ -693,7 +723,7 @@ def grid_search(epoch: MeasurementEpoch, consts: ProtocolConstants, *,
     if (t.size if keep is None else np.count_nonzero(keep)) < 2:
         raise ValueError("grid search needs at least two usable samples")
 
-    n_coarse = grid.freq_values().size
+    n_coarse = grid.n_coarse
     if (n_coarse - 1) * grid.df * epoch.t_m >= 1.0:
         raise ValueError(
             f"coarse ladder spans {(n_coarse - 1) * grid.df:g} Hz, not "

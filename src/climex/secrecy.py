@@ -20,10 +20,9 @@ drawn from +-(ppm * 1e-6 * f0 / 2) around the base frequency.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .signal_model import fold, require_finite
 
@@ -95,6 +94,13 @@ class BudgetInputs:
         return max(k_min, 1), k_max
 
 
+def _span_sum(lo: int, hi: int, top: int) -> int:
+    """sum(top - d for d in lo .. hi), 0 when the span is empty."""
+    if lo > hi:
+        return 0
+    return (2 * top - lo - hi) * (hi - lo + 1) // 2
+
+
 def count_valid_pairs_formula(inputs: BudgetInputs) -> int:
     """Exact count of ordered offset pairs with a usable beat.
 
@@ -104,10 +110,7 @@ def count_valid_pairs_formula(inputs: BudgetInputs) -> int:
     """
     n = inputs.n_freq
     k_min, k_max = inputs._beat_steps()
-    big_k = min(k_max, n - 1)
-    if k_min > big_k:
-        return 0
-    return (2 * n - k_min - big_k) * (big_k - k_min + 1)
+    return 2 * _span_sum(k_min, min(k_max, n - 1), n)
 
 
 def valid_pair_area(inputs: BudgetInputs) -> float:
@@ -204,20 +207,30 @@ def _offset_index(f_hz: float, inputs: BudgetInputs) -> int:
     return min(i, inputs.n_freq - 1)
 
 
-def _row_counts(rows, n_cols: int, k_min: int, k_max: int):
-    """Per row i, the columns j in ``[0, n_cols)`` with ``k_min <= |i - j|
-    <= k_max``."""
-    below = (np.minimum(rows - k_min, n_cols - 1)
-             - np.maximum(0, rows - k_max) + 1)
-    above = np.minimum(n_cols - 1, rows + k_max) - (rows + k_min) + 1
-    return np.maximum(below, 0) + np.maximum(above, 0)
-
-
 def _pair_rank(i: int, j: int, n: int, k_min: int, k_max: int) -> int:
     """Rank of ordered pair (i, j) in row-major enumeration of the valid
-    set: the valid pairs in rows above i, plus those left of j in row i."""
-    return int(_row_counts(np.arange(i), n, k_min, k_max).sum()
-               + _row_counts(i, j, k_min, k_max))
+    set, the pairs (r, c) of an n x n lattice with k_min <= |r - c| <=
+    k_max (k_min >= 1), in closed form.
+
+    The pairs in rows r < i, counted by step d = |r - c|: a column
+    below, c = r - d >= 0, leaves i - d rows; a column above, c = r + d
+    <= n - 1, leaves min(i, n - d) rows, which is i up to d = n - i.
+    Then the pairs left of j in row i, at c = i - d and c = i + d."""
+    below = _span_sum(k_min, min(k_max, i - 1), i)
+    above = (i * max(min(k_max, n - i) - k_min + 1, 0)
+             + _span_sum(max(k_min, n - i + 1), min(k_max, n - 1), n))
+    left = (max(min(k_max, i) - max(k_min, i - j + 1) + 1, 0)
+            + max(min(k_max, j - i - 1) - k_min + 1, 0))
+    return below + above + left
+
+
+@functools.lru_cache(maxsize=2)
+def _bit_widths(inputs: BudgetInputs):
+    """(bits_f, bits_phi, bits_rho) of ``budget(inputs)``, counted once
+    per distinct layout; a layout that ``budget`` refuses raises here
+    on every call."""
+    rep = budget(inputs)
+    return rep.bits_f, rep.bits_phi, rep.bits_rho
 
 
 def derive_key(f_initiator_hz: float, f_responder_hz: float,
@@ -242,7 +255,7 @@ def derive_key(f_initiator_hz: float, f_responder_hz: float,
                    rho_m=rho_m)
     if inputs is None:
         inputs = BudgetInputs()
-    rep = budget(inputs)
+    bits_f, bits_phi, bits_rho = _bit_widths(inputs)
     n = inputs.n_freq
     k_min, k_max = inputs._beat_steps()
 
@@ -263,7 +276,6 @@ def derive_key(f_initiator_hz: float, f_responder_hz: float,
     rho_idx = min(rho_idx, int(round(inputs.rho_max_m / inputs.rho_step_m)) - 1)
 
     # the low bits of each index; a 0-bit field writes none
-    fields = ((rank, rep.bits_f), (phi_idx, rep.bits_phi),
-              (rho_idx, rep.bits_rho))
+    fields = ((rank, bits_f), (phi_idx, bits_phi), (rho_idx, bits_rho))
     return "".join(format(idx & ((1 << bits) - 1), f"0{bits}b")
                    for idx, bits in fields if bits)

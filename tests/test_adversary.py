@@ -30,7 +30,7 @@ from climex import (
     run_climex_epoch,
     run_rtt_epoch,
 )
-from climex.adversary import _median, _quantile
+from climex.adversary import _comb_design, _comb_fit, _median, _quantile
 
 RHO_AE = 4.0
 RHO_BE = 2.5
@@ -122,6 +122,40 @@ def test_listener_fit_needs_enough_pulses(clock_pair, scenario, consts,
                         np.random.default_rng(4))
     with pytest.raises(ShortEpochError):
         eve_estimate_rtt(ep, consts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.one_of(st.integers(8, 300), st.integers(8, 100_000)),
+       rel=st.floats(-1e-2, 1e-2),
+       offset=st.floats(-1e3, 1e3),
+       sigma=st.sampled_from([0.0, 1e-12, 2e-9, 1e-6]),
+       seed=st.integers(0, 2**32 - 1))
+# the listener's tap: 10^4 pings, 2 ns stamps; and a noise-free comb
+@example(n=10_000, rel=-3.13e-6, offset=0.0, sigma=2e-9, seed=9000)
+@example(n=8, rel=0.0, offset=1e3, sigma=0.0, seed=0)
+def test_comb_fit_is_polyfit_bit_for_bit(n, rel, offset, sigma, seed):
+    # the once-built design gives np.polyfit's line in every bit; the
+    # stamps are not written, and the cached design is read-only and
+    # the same after the fit as a fresh build
+    rng = np.random.default_rng(seed)
+    times = offset + 1e-4 * (1.0 + rel) * np.arange(n)
+    if sigma:
+        times += rng.normal(0.0, sigma, n)
+    times.flags.writeable = False
+    want = np.polyfit(np.arange(n, dtype=float), times, 1)
+    got = _comb_fit(times)
+    assert [v.hex() for v in got] == [float(v).hex() for v in want]
+    lhs, scale, rcond = _comb_design(n)
+    assert not lhs.flags.writeable and not scale.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        lhs[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        scale *= 2.0
+    _comb_design.cache_clear()
+    fresh = _comb_design(n)
+    assert fresh[0] is not lhs
+    assert lhs.tobytes() == fresh[0].tobytes()
+    assert scale.tobytes() == fresh[1].tobytes() and rcond == fresh[2]
 
 
 # ----------------------------------------------------------------------

@@ -180,6 +180,25 @@ def test_freq_values_stop_at_f_hi():
     assert tenth.size == 20001 and tenth[-1] == pytest.approx(1000.0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(f_lo=st.floats(-1e3, 1e3),
+       df=st.one_of(st.sampled_from([0.1, 0.7, 1.0 / 3.0, 0.01, 3.0]),
+                    st.floats(1e-3, 10.0)),
+       steps=st.integers(0, 100_000),
+       over=st.floats(0.0, 0.999))
+@example(f_lo=-1000.0, df=0.1, steps=20_000, over=0.0)
+@example(f_lo=-1000.0, df=3.0, steps=666, over=2.0 / 3.0)
+def test_coarse_ladder_size_is_the_ladders(f_lo, df, steps, over):
+    # f_hi = f_lo + df (steps + over), rounded: a span that df divides
+    # up to rounding (over = 0) keeps its last point, and a partial step
+    # short of the slack adds none; the count is the ladder's size
+    # either way
+    f_hi = f_lo + df * (steps + over)
+    assume(f_hi > f_lo and f_hi - f_lo >= 1e-2)
+    grid = SearchGrid(f_lo=f_lo, f_hi=f_hi, df=df)
+    assert grid.n_coarse == grid.freq_values().size == steps + 1
+
+
 # ----------------------------------------------------------------------
 # coarse ladder: chirp-z transform against the stepping loop
 # ----------------------------------------------------------------------
@@ -415,6 +434,11 @@ def _near_tie(mags):
 # a 201-point window, ten chunks of the tables' 21 columns
 @example(n=10_000, log_tm=-4.0, span=0.2, lo=-0.1, count=201, refine=100,
          lock=0.44, seed=11, masked=True, dithered=True)
+# a listener's slope comb on the default grid: 10^4 pings at t_m = 1e-4
+# (1 - 3.13e-6), a Bluestein ladder whose chirp and plan are built per fit
+@example(n=10_000, log_tm=-4.0 + np.log10(1.0 - 3.13e-6),
+         span=0.2 * (1.0 - 3.13e-6), lo=-0.1 * (1.0 - 3.13e-6), count=2001,
+         refine=10, lock=0.7501, seed=12, masked=False, dithered=False)
 def test_grid_search_picks_are_the_stepping_loops(n, log_tm, span, lo, count,
                                                   refine, lock, seed, masked,
                                                   dithered):

@@ -4,8 +4,9 @@
 ``_smoothed_fold_mean`` are written for speed, with the claim that
 they return the same floats as the straightforward expressions kept
 below as references: ``np.mod`` for the fold, ``np.fmod`` for the chirp
-angle (its kernel padded to ``scipy.fft.next_fast_len``), and the
-one-line Abramowitz-Stegun CDF and smoothed mean.  The
+angle (the chirp is the unit-circle table's phasors of that angle, its
+kernel padded to ``scipy.fft.next_fast_len``), and the one-line
+Abramowitz-Stegun CDF and smoothed mean.  The
 property tests compare them bit for bit (nan payloads included), check
 that the output dtype is the reference's and that no input array is
 written to.  The last test pins four whole fits to ``float.hex``
@@ -19,6 +20,7 @@ import pytest
 import scipy.fft
 from hypothesis import example, given, settings, strategies as st
 
+from climex import estimators
 from climex.adversary import (
     eve_estimate_rtt,
     eve_tdoa_epoch,
@@ -32,6 +34,7 @@ from climex.estimators import (
     _bluestein,
     _norm_cdf,
     _smoothed_fold_mean,
+    _unit_phasors,
     grid_search,
 )
 from climex.protocol_sim import replay_dither, run_exchange
@@ -54,10 +57,13 @@ def _ref_fold(x, period):
     return out
 
 
-def _ref_bluestein(c, n, count):
+def _ref_chirp_angle(c, n, count):
     m2 = np.arange(max(n, count), dtype=float) ** 2
     c_hi = float(np.float32(c))
-    chirp = np.exp(1j * np.pi * (np.fmod(c_hi * m2, 2.0) + (c - c_hi) * m2))
+    return np.fmod(c_hi * m2, 2.0) + (c - c_hi) * m2
+
+
+def _ref_bluestein(chirp, n, count):
     size = scipy.fft.next_fast_len(n + count - 1, real=False)
     kern = np.zeros(size, dtype=complex)
     kern[:count] = chirp[:count]
@@ -179,14 +185,34 @@ def test_fold_is_the_np_mod_fold_on_random_bit_patterns():
        n=st.integers(2, 100_000),
        count=st.integers(1, 3000))
 @example(c=1e-4, n=100_000, count=2001)        # 1 Hz steps, 10^5 pings
+@example(c=1e-4 * (1 - 3.13e-6), n=10_000, count=2001)  # a listener's slope
 @example(c=0.37, n=30_000, count=201)
 @example(c=0.0, n=50, count=7)
-def test_bluestein_chirp_is_the_fmod_chirp_bit_for_bit(c, n, count):
+def test_bluestein_chirp_is_the_table_chirp_of_the_fmod_angle(c, n, count):
     # chirp products c_hi m^2 up to m = 10^5, past the 2^29 where the
-    # head product starts to round
-    got, want = _bluestein(c, n, count), _ref_bluestein(c, n, count)
+    # head product starts to round.  The reduced angle w is the fmod
+    # reference's bit for bit; the chirp exp(i pi w) is the table's
+    # _unit_phasors of w / 2, bit for bit, and within 3e-15 of the
+    # complex exp of w reduced exactly to [-1, 1] (an exp of w itself
+    # rounds pi w first, which costs up to ~1e-13 where the tail takes
+    # |w| past 100)
+    angles = []
+
+    def unit_phasors(x, work):
+        angles.append(x.copy())
+        return _unit_phasors(x, work)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(estimators, "_unit_phasors", unit_phasors)
+        got = _bluestein(c, n, count)
+    w = _ref_chirp_angle(c, n, count)
+    assert len(angles) == 1 and _same_bits(angles[0], 0.5 * w)
+    table = _unit_phasors(0.5 * w, _Scratch())
+    want = _ref_bluestein(table, n, count)
     assert _same_bits(got[0], want[0])
     assert _same_bits(got[1], want[1])
+    exact = np.exp(1j * np.pi * (w - 2.0 * np.rint(0.5 * w)))
+    assert np.abs(table - exact).max() <= 3e-15
 
 
 _CDF_ARRAYS = st.one_of(

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from climex import (
     BudgetInputs,
@@ -42,14 +42,6 @@ def count_valid_pairs(inputs: BudgetInputs) -> int:
     return int(np.count_nonzero((d >= k_min) & (d <= k_max)))
 
 
-def valid_pairs_row_major(inputs: BudgetInputs):
-    """The valid ordered index pairs, listed row by row."""
-    n = inputs.n_freq
-    k_min, k_max = inputs._beat_steps()
-    return [(i, j) for i in range(n) for j in range(n)
-            if k_min <= abs(i - j) <= k_max]
-
-
 def test_tiny_grid_counts():
     # 7 offsets, beat window 1..6 steps: 2 * (6+5+4+3+2+1) = 42
     assert TINY.n_freq == 7
@@ -57,34 +49,31 @@ def test_tiny_grid_counts():
     assert count_valid_pairs_formula(TINY) == 42
 
 
-def test_formula_matches_enumeration_on_random_layouts():
-    rng = np.random.default_rng(21)
-    for _ in range(50):
-        half = int(rng.integers(2, 60))
-        fd_min = int(rng.integers(1, half + 1))
-        fd_max = int(rng.integers(fd_min, 2 * half + 5))
-        inp = BudgetInputs(f0_hz=1.0e6, ppm=2.0 * half, f_step_hz=1.0,
-                           f_d_min_hz=float(fd_min), f_d_max_hz=float(fd_max))
-        assert count_valid_pairs(inp) == count_valid_pairs_formula(inp)
+@settings(max_examples=200, deadline=None)
+@given(half=st.integers(1, 60),
+       f_step=st.sampled_from([1.0, 0.5, 0.25, 2.0, 3.0]),
+       f_d_min=st.floats(1e-3, 130.0),
+       width=st.floats(0.0, 250.0))
+def test_formula_matches_enumeration_on_random_layouts(half, f_step, f_d_min,
+                                                       width):
+    # beat windows that cut the lattice anywhere, past its width included
+    inp = BudgetInputs(f0_hz=1.0e6, ppm=2.0 * half, f_step_hz=f_step,
+                       f_d_min_hz=f_d_min, f_d_max_hz=f_d_min + width)
+    assert count_valid_pairs(inp) == count_valid_pairs_formula(inp)
 
 
-def test_pair_rank_is_the_row_major_position():
-    rng = np.random.default_rng(23)
-    layouts = [TINY]
-    for _ in range(8):
-        half = int(rng.integers(2, 25))
-        fd_min = int(rng.integers(1, half + 1))
-        fd_max = int(rng.integers(fd_min, 2 * half + 5))
-        layouts.append(BudgetInputs(f0_hz=1.0e6, ppm=2.0 * half,
-                                    f_step_hz=1.0, f_d_min_hz=float(fd_min),
-                                    f_d_max_hz=float(fd_max)))
-    for inp in layouts:
-        n = inp.n_freq
-        k_min, k_max = inp._beat_steps()
-        pairs = valid_pairs_row_major(inp)
-        assert len(pairs) == count_valid_pairs(inp)
-        ranks = [_pair_rank(i, j, n, k_min, k_max) for i, j in pairs]
-        assert ranks == list(range(len(pairs)))
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 50), k_min=st.integers(1, 55),
+       width=st.integers(0, 60))
+@example(n=TINY.n_freq, k_min=1, width=5)
+def test_pair_rank_is_the_row_major_position(n, k_min, width):
+    # every valid pair of a small lattice, k_max past n - 1 included,
+    # ranks at its index in the row-major enumeration
+    k_max = k_min + width
+    pairs = [(i, j) for i in range(n) for j in range(n)
+             if k_min <= abs(i - j) <= k_max]
+    ranks = [_pair_rank(i, j, n, k_min, k_max) for i, j in pairs]
+    assert ranks == list(range(len(pairs)))
 
 
 def test_default_pair_count_and_area():
@@ -254,6 +243,16 @@ def test_key_range_errors():
             with pytest.raises(KeyRangeError, match=f"^{name} must be "
                                                     f"finite, got {bad!r}$"):
                 derive_key(*args, inp)
+
+
+def test_key_refuses_a_refused_layout_on_every_call():
+    # the bit widths are counted once per layout, and a layout the
+    # budget refuses is refused again, not remembered
+    for inp in (BudgetInputs(f_d_min_hz=1500.0, f_d_max_hz=2000.0),
+                BudgetInputs(f_d_min_hz=500.0, f_d_max_hz=500.0)):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^no valid "):
+                derive_key(1.0e8 + 313.0, 1.0e8 - 187.0, 1.0, 50.0, inp)
 
 
 def test_total_log_is_consistent():
