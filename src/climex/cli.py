@@ -16,6 +16,7 @@ import math
 import sys
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .adversary import (
     ShortEpochError,
@@ -52,12 +53,8 @@ _FLOAT = f"%.{_DIGITS - 1}e"
 # rounding.
 _COMB_RTOL = 2.0 * 10.0 ** (1 - _DIGITS)
 
-# epoch rows are parsed this many at a time, so the cell strings of
-# only one chunk are alive at once
-_PARSE_CHUNK = 512
-
-# table rows are formatted this many at a time, so the scratch arrays
-# of only one chunk are alive at once
+# table rows are formatted, and epoch rows parsed, this many at a time,
+# so the scratch arrays of only one chunk are alive at once
 _WRITE_CHUNK = 2048
 
 # 10^(12 - e) for the decimal exponents e = -10..12 (i = e + 10): the
@@ -80,6 +77,19 @@ _DIGIT_WORDS = _digit_words()
 # fast-path cell prints
 _EXP_WORDS = np.frombuffer(b"".join(b"e%+03d" % e for e in range(-10, 13)),
                            dtype=np.uint32)
+
+# every row of simulate's epoch file ends in these 38 bytes, then a
+# newline: a time and an rtt cell "d.dddddddddddde+dd", each byte
+# between the low and the high template's (the exponent sign's range
+# holds "+", "," and "-")
+_TAIL_LO = np.frombuffer(b",0.000000000000e+00" * 2, dtype=np.uint8)
+_TAIL_SPAN = (np.frombuffer(b",9.999999999999e-99" * 2, dtype=np.uint8)
+              - _TAIL_LO)
+# a cell's 13 digits, its exponent sign and its exponent's 2 digits, by
+# their places in the tail (one row per cell)
+_TAIL_DIGITS = np.array([[c + 1, *range(c + 3, c + 15)] for c in (0, 19)])
+_TAIL_SIGNS = np.array([16, 35])
+_TAIL_EXPS = np.array([[17, 18], [36, 37]])
 
 
 def _fmt(x) -> str:
@@ -292,59 +302,110 @@ def _read_lines(path: str, lines: list[str]):
     return headers, np.array(t_rows), np.array(y_rows)
 
 
-def _bulk_rows(lines: list[str]):
-    """The number of header lines and the time and rtt columns of a
-    file in ``simulate``'s layout (``#`` lines, an ``index,`` line, then
-    rows only), as ``_read_lines`` reads it; None for any other file.
+def _row_values(rows: np.ndarray, ends: np.ndarray, out: np.ndarray) -> bool:
+    """Write to ``out``, a (2, k) float array, the time and rtt cells of
+    the k rows of an epoch file's body whose bytes are ``rows`` and
+    whose newlines lie at ``ends``; False, with ``out`` part written,
+    unless every row is ``simulate``'s: an index of digits, then
+    ``,d.dddddddddddde+dd`` twice with the exponent in [-10, 12], then
+    the newline.
 
-    A chunk of k rows, joined with ",\n" and split on commas, holds k
-    rows of three cells exactly when that gives 3 k cells and its k - 1
-    newlines all fall in cells 3, 6, 9, ...  numpy then parses every
-    third cell from 1 and from 2, taking ``float`` of each.  A chunk
-    holding a ``#`` or an ``index,`` may hold a line that is no row.
+    The rows hold 2 commas and 9 non-digit bytes each, and the 38 bytes
+    before each newline lie between the low and the high template.  So
+    no row is shorter than that tail (a tail over a newline misses the
+    template), the index cells are digits and the sign bytes no commas.
+    A cell's 13 digits are an integer N < 10^13 < 2^53, summed exactly;
+    10^(12 - e) is exact for these exponents e, and the cell's value is
+    N / 10^(12 - e), which one float64 division rounds correctly, as
+    ``float`` does: the writer's argument in ``_write_table``, run
+    backwards.
     """
-    h = 0
-    while h < len(lines) and lines[h].startswith("#"):
+    k = ends.size
+    if not (ends[0] >= _TAIL_LO.size
+            and np.count_nonzero(rows == ord(",")) == 2 * k
+            and np.count_nonzero(rows - np.uint8(ord("0")) > 9) == 9 * k):
+        return False
+    # each byte of a tail less the low template's: a digit's value, 0
+    # for the sign "+" and 2 for "-"
+    tails = sliding_window_view(rows, _TAIL_LO.size)[ends - _TAIL_LO.size]
+    tails -= _TAIL_LO
+    if not (tails <= _TAIL_SPAN).all():
+        return False
+    # e + 10 in uint8, where an exponent below -10 wraps to 167 or
+    # more, past the scale table as one above 12 lies
+    e = tails[:, _TAIL_EXPS]
+    e = 10 * e[..., 0] + e[..., 1]
+    i = np.where(tails[:, _TAIL_SIGNS] == 0, 10 + e, 10 - e)
+    if i.max() >= _SCALE.size:
+        return False
+    # N from the lead digit and three 4-digit groups, each built in small
+    # ints, then in float64 with every partial sum an integer
+    d = tails[:, _TAIL_DIGITS]
+    d2 = 10 * d[..., 1::2] + d[..., 2::2]
+    d4 = 100 * d2[..., ::2].astype(np.uint16) + d2[..., 1::2]
+    num = d[..., 0].astype(float)
+    for j in range(3):
+        num *= 1e4
+        num += d4[..., j]
+    np.divide(num, _SCALE[i], out=out.T)
+    return True
+
+
+def _bulk_rows(text: str):
+    """The header lines and the time and rtt columns of an epoch file's
+    text in ``simulate``'s layout (``#`` lines, an ``index,`` line, then
+    rows only, ASCII, each ending in a newline), as ``_read_lines``
+    reads ``text.splitlines()``; None for any other text.
+
+    The header lines are ``splitlines`` of the text before the body,
+    taken only where it breaks at its newlines alone.  The body is read
+    as bytes: its newlines found at once, then ``_WRITE_CHUNK`` rows at a
+    time parsed by ``_row_values``, which accepts only bytes no other
+    line break can lie in.
+    """
+    h = end = 0
+    while text.startswith("#", end):
+        end = text.find("\n", end) + 1
+        if end == 0:
+            return None
         h += 1
-    if h == len(lines) or not lines[h].startswith("index,"):
+    if not text.startswith("index,", end):
         return None
-    n = len(lines) - h - 1
-    t_col, y_col = np.empty(n), np.empty(n)
-    for start in range(0, n, _PARSE_CHUNK):
-        chunk = lines[h + 1 + start:h + 1 + start + _PARSE_CHUNK]
-        text = ",\n".join(chunk)
-        if "#" in text or "index," in text:
+    end = text.find("\n", end) + 1
+    head = text[:end].splitlines()
+    if end == 0 or len(head) != h + 1 or not text.endswith("\n"):
+        return None
+    try:
+        body = np.frombuffer(text[end:].encode("ascii"), dtype=np.uint8)
+    except UnicodeEncodeError:
+        return None
+    ends = np.flatnonzero(body == ord("\n"))
+    cols = np.empty((2, ends.size))
+    for start in range(0, ends.size, _WRITE_CHUNK):
+        first = ends[start - 1] + 1 if start else 0
+        chunk = ends[start:start + _WRITE_CHUNK]
+        if not _row_values(body[first:chunk[-1] + 1], chunk - first,
+                           cols[:, start:start + chunk.size]):
             return None
-        cells = text.split(",")
-        if (len(cells) != 3 * len(chunk)
-                or "".join(cells[3::3]).count("\n") != len(chunk) - 1):
-            return None
-        try:
-            t_col[start:start + len(chunk)] = np.array(cells[1::3],
-                                                       dtype=float)
-            y = y_col[start:start + len(chunk)]
-            y[:] = np.array(cells[2::3], dtype=float)
-        except ValueError:
-            return None
-        if not np.all(np.isfinite(y) & (y >= 0.0)):
-            return None
-    return h, t_col, y_col
+    return head[:h], cols[0], cols[1]
 
 
 def _read_epoch_csv(path: str, setup: RunSetup) -> MeasurementEpoch:
+    """The epoch in the file at ``path``, checked against ``setup``.  A
+    file in ``simulate``'s layout is parsed as bytes by ``_bulk_rows``,
+    to the epoch that ``_read_lines``, the reader of any other file and
+    the one that names a bad line, would give bit for bit."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read epoch file {path}: {exc}") from None
-    lines = text.splitlines()
-    del text        # the lines hold it now: 0.3 MB less peak at 10^4 rows
-    bulk = _bulk_rows(lines)
+    bulk = _bulk_rows(text)
     if bulk is None:
-        headers, t_col, y_col = _read_lines(path, lines)
+        headers, t_col, y_col = _read_lines(path, text.splitlines())
     else:
-        h, t_col, y_col = bulk
-        headers = _read_lines(path, lines[:h])[0]
+        head, t_col, y_col = bulk
+        headers = _read_lines(path, head)[0]
     if "t_prime_s" not in headers:
         raise ConfigError(f"{path}: missing '# t_prime_s = ...' header")
     lineno, value = headers["t_prime_s"]

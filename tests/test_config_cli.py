@@ -677,6 +677,46 @@ def test_cell_formatter_holds_with_an_exponent_estimate_one_off(
                                              for v in floats)
 
 
+# a cell as the byte path takes it: simulate's layout, with an exponent
+# from -10 to 12
+_BYTE_PATH_CELL = re.compile(r"[0-9]\.[0-9]{12}e(\+(0[0-9]|1[0-2])|-(0[0-9]|10))")
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=_ANY_FLOAT64, digits=st.integers(10 ** 12, 10 ** 13 - 1),
+       exp=st.sampled_from(_FAST_EXPS))
+@example(x=0.0, digits=None, exp=None)
+def test_cell_reader_is_float_bit_for_bit(x, digits, exp):
+    # the reader's twin of the cell formatter test: of the cells
+    # _FLOAT % v writes, the byte path takes exactly those in its layout
+    # and exponent window, each as float(cell) bit for bit, and sends
+    # the file of any other cell to the line reader
+    if digits is None:
+        # every decade edge and near half at the ends of each exponent
+        floats = [v for e in _FAST_EXPS for v in
+                  _decade_edges(e) + _near_halves(10 ** 12, e)
+                  + _near_halves(10 ** 13 - 2, e)]
+    else:
+        floats = [x] + _near_halves(digits, exp) + _decade_edges(exp)
+    floats += [-v for v in floats] + [0.0]
+    head = "# t_prime_s = 0\nindex,t_rel_s,rtt_s\n"
+    taken = []
+    for cell in (cli._FLOAT % v for v in floats):
+        bulk = cli._bulk_rows(f"{head}0,{cell},{cell}\n")
+        assert (bulk is not None) == bool(_BYTE_PATH_CELL.fullmatch(cell))
+        if bulk is not None:
+            assert float(bulk[1][0]).hex() == float(cell).hex()
+            assert float(bulk[2][0]).hex() == float(cell).hex()
+            taken.append(cell)
+    # the cells taken, in both columns of one file of three parse chunks
+    times = [taken[j % len(taken)] for j in range(2 * cli._WRITE_CHUNK + 1)]
+    rtts = times[::-1]
+    _, t_col, y_col = cli._bulk_rows(head + "".join(
+        f"{j},{t},{y}\n" for j, (t, y) in enumerate(zip(times, rtts))))
+    assert t_col.tobytes() == np.array([float(c) for c in times]).tobytes()
+    assert y_col.tobytes() == np.array([float(c) for c in rtts]).tobytes()
+
+
 def _recording(monkeypatch, name, owner=cli):
     """Wrap owner.<name> (a function of cli by default, or a method) so
     that each call's result is kept."""
@@ -764,9 +804,21 @@ def _edit_cell(line, col, text):
     return ",".join(cells)
 
 
+def _shortened(line):
+    """The row ``line`` with its time and rtt cells in their shortest
+    repr, so shorter than the 38-byte tail of a written row."""
+    index, t, y = line.split(",")
+    return f"{index},{float(t)!r},{float(y)!r}"
+
+
+# rows parsed per chunk by the byte path, and the first row of its
+# second chunk, counted in the lines of a simulated epoch file
+_W = cli._WRITE_CHUNK
+_SECOND_CHUNK = 4 + _W
+
 # each case edits the lines of a simulated epoch file (3 header lines,
-# the column names, then the rows); the 1200-row file spans several
-# parse chunks
+# the column names, then the rows); the 1200-row file is one of the
+# byte path's parse chunks, the 2 * _WRITE_CHUNK + 1-row file three
 _READER_CASES = {
     "as_written": (40, lambda ls: ls),
     "blank_lines": (40, lambda ls: ["", "  "] + ls[:10] + ["", "\t"]
@@ -820,6 +872,48 @@ _READER_CASES = {
     "four_columns_on_the_last_row": (40, lambda ls: ls[:-1]
                                      + [ls[-1] + ",0"]),
     "no_index_line": (40, lambda ls: ls[:3] + ls[4:]),
+    # the byte path's own edges: index cells that are not digits only
+    # (\x0c splits a line for splitlines, not for a newline scan) or are
+    # empty, cells outside the writer's layout or its exponent window,
+    # rows shorter than a written row's tail, bytes outside ASCII, and
+    # the chunk edges
+    "letter_in_index": (40, lambda ls: ls[:10] + [_edit_cell(ls[10], 0, "6x")]
+                        + ls[11:]),
+    "sign_in_index": (40, lambda ls: ls[:10] + [_edit_cell(ls[10], 0, "+6")]
+                      + ls[11:]),
+    "hash_in_index": (40, lambda ls: ls[:10] + [_edit_cell(ls[10], 0, "6#")]
+                      + ls[11:]),
+    "form_feed_in_index": (40, lambda ls: ls[:10] + [
+        _edit_cell(ls[10], 0, "6\x0c6")] + ls[11:]),
+    "empty_index": (40, lambda ls: ls[:4] + [_edit_cell(ls[4], 0, "")]
+                    + ls[5:10] + [_edit_cell(ls[10], 0, "")] + ls[11:]),
+    "fourteen_digit_cell": (40, lambda ls: ls[:10] + [_edit_cell(
+        ls[10], 2, ls[10].split(",")[2].replace("e", "3e"))] + ls[11:]),
+    "upper_case_exponent": (40, lambda ls: ls[:10] + [_edit_cell(
+        ls[10], 1, ls[10].split(",")[1].replace("e", "E"))] + ls[11:]),
+    "comma_for_exponent_sign": (40, lambda ls: ls[:10] + [_edit_cell(
+        ls[10], 2, ls[10].split(",")[2].replace("e-", "e,"))] + ls[11:]),
+    "rtt_below_the_exponent_window": (40, lambda ls: ls[:10] + [
+        _edit_cell(ls[10], 2, "5.000000000000e-11")] + ls[11:]),
+    "no_final_newline": (40, lambda ls: ls),
+    "short_first_row": (40, lambda ls: ls[:4] + [_shortened(ls[4])] + ls[5:]),
+    "short_row_in_body": (40, lambda ls: ls[:20] + [_shortened(ls[20])]
+                          + ls[21:]),
+    "form_feed_in_header": (40, lambda ls: ls[:3]
+                            + ["# note = 1\x0c# t_prime_s = 2.5"] + ls[3:]),
+    "non_ascii_header": (40, lambda ls: ls[:1] + ["# note = caf\u00e9"]
+                         + ls[1:]),
+    "non_ascii_index": (40, lambda ls: ls[:10] + [
+        _edit_cell(ls[10], 0, "6\u00e9")] + ls[11:]),
+    "as_written_over_three_chunks": (2 * _W + 1, lambda ls: ls),
+    "short_row_starting_a_later_chunk": (2 * _W + 1, lambda ls: (
+        ls[:_SECOND_CHUNK] + [_shortened(ls[_SECOND_CHUNK])]
+        + ls[_SECOND_CHUNK + 1:])),
+    "letter_in_a_later_chunk": (2 * _W + 1, lambda ls: (
+        ls[:_SECOND_CHUNK + 5] + [_edit_cell(ls[_SECOND_CHUNK + 5], 0, "x")]
+        + ls[_SECOND_CHUNK + 6:])),
+    "rtt_below_the_window_on_a_one_row_chunk": (2 * _W + 1, lambda ls: (
+        ls[:-1] + [_edit_cell(ls[-1], 2, "5.000000000000e-11")])),
 }
 
 
@@ -830,7 +924,8 @@ def test_epoch_reader_matches_per_line_reader(tmp_path, monkeypatch, capsys,
     n_pings, edit = _READER_CASES[case]
     cfgp, lines = _small_epoch_lines(tmp_path, n_pings)
     path = tmp_path / "case.csv"
-    path.write_bytes((newline.join(edit(lines)) + newline).encode("utf-8"))
+    end = "" if case == "no_final_newline" else newline
+    path.write_bytes((newline.join(edit(lines)) + end).encode("utf-8"))
     setup = build_setup(load_config(cfgp))
     try:
         want = _oracle_read_epoch_csv(str(path), setup)
@@ -857,13 +952,23 @@ def test_epoch_reader_matches_per_line_reader(tmp_path, monkeypatch, capsys,
     assert runs[0] == runs[1]
 
 
-def test_simulate_epoch_files_take_the_bulk_read(tmp_path):
+@pytest.mark.parametrize("config", ["n_pings = 40", "n_pings = 1200", "",
+                                    "protocol = climex"])
+def test_simulate_epoch_files_take_the_bulk_read(tmp_path, config):
     # the line reader gives the same epoch, slower: simulate's own
-    # files, of one or of several parse chunks, are read in bulk
-    for n_pings in (40, 1200):
-        _, lines = _small_epoch_lines(tmp_path, n_pings)
-        h, t_col, y_col = cli._bulk_rows(lines)
-        assert (h, t_col.size, y_col.size) == (3, n_pings, n_pings)
+    # files are read in bulk, of one parse chunk or of several, the
+    # default 10^4-row file (the benchmark's) five
+    cfgp, out = tmp_path / "run.cfg", tmp_path / "epoch.csv"
+    cfgp.write_text(config + "\n")
+    assert main(["simulate", "--config", str(cfgp), "--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    n_pings = build_setup(load_config(str(cfgp))).scenario.n_pings
+    head, t_col, y_col = cli._bulk_rows(text)
+    headers, t_lines, y_lines = cli._read_lines(str(out), text.splitlines())
+    assert (len(head), t_col.size) == (3, n_pings)
+    assert cli._read_lines(str(out), head)[0] == headers
+    assert t_col.tobytes() == t_lines.tobytes()
+    assert y_col.tobytes() == y_lines.tobytes()
 
 
 def test_estimate_names_the_line_of_a_bad_row(tmp_path, capsys):
