@@ -8,7 +8,6 @@ from .signal_model import (
     NoiseParams,
     ProtocolConstants,
     SawtoothArgs,
-    as_generator,
     draw_epoch_noise,
     epoch_model,
     fold,

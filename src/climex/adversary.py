@@ -40,7 +40,6 @@ from .signal_model import (
     MeasurementEpoch,
     NoiseParams,
     ProtocolConstants,
-    as_generator,
     fold,
 )
 
@@ -114,13 +113,18 @@ def eve_tdoa_epoch(log: ArrivalLog, rho_ae: float, rho_be: float,
     start/stop converter differences the two arrivals; the absolute
     station time never enters the difference.  One composite noise draw
     per TDOA element, then an independent draw per ping timestamp, in
-    that order.
+    that order.  The position must close a triangle with A and B,
+    |rho_ae - rho_be| <= rho_ab <= rho_ae + rho_be; on its edge the
+    listener is collinear with them.
     """
     if rho_ae < 0.0 or rho_be < 0.0:
         raise ValueError("distances must be non-negative")
-    if log.cfg.rho_ab + rho_be - rho_ae < 0.0:
-        raise ValueError("geometry violates the triangle inequality")
-    g = as_generator(rng)
+    rho_ab = log.cfg.rho_ab
+    if not abs(rho_ae - rho_be) <= rho_ab <= rho_ae + rho_be:
+        raise ValueError(f"geometry violates the triangle inequality: "
+                         f"rho_ae = {rho_ae!r}, rho_be = {rho_be!r}, "
+                         f"rho_ab = {rho_ab!r} m")
+    g = np.random.default_rng(rng)
     n = log.ping_emit.size
     c = log.consts.c
     tdoa_noise = g.normal(0.0, noise.sigma_outer, size=n)
@@ -145,7 +149,7 @@ def eve_interarrival_epoch(log: ArrivalLog, eve_clock: ClockParams,
     """
     if rho_ae < 0.0:
         raise ValueError("distance must be non-negative")
-    g = as_generator(rng)
+    g = np.random.default_rng(rng)
     n = log.ping_emit.size
     arr = log.ping_emit + rho_ae / log.consts.c
     latch_noise = g.normal(0.0, noise.sigma_inner, size=n)
@@ -252,7 +256,7 @@ def make_random_timing_plan(log: ArrivalLog, rho_ae: float, n_attack: int,
     forgery preempts the honest respond depends on the geometry; the
     per-slot outcome is settled at remeasurement.
     """
-    g = as_generator(rng)
+    g = np.random.default_rng(rng)
     idx = _attack_slots(log, n_attack, g)
     hear = log.ping_emit[idx] + rho_ae / log.consts.c
     emit = hear + g.uniform(0.0, log.consts.delta_0 / 2.0, size=n_attack)
@@ -269,7 +273,7 @@ def make_oracle_plan(log: ArrivalLog, rho_ae: float, n_attack: int,
     the honest respond arrivals from the log and lands just ahead of
     them, on-model up to the lead and the fresh receive noise.
     """
-    g = as_generator(rng)
+    g = np.random.default_rng(rng)
     idx = _attack_slots(log, n_attack, g)
     emit = log.respond_arrive[idx] - _ORACLE_LEAD_S - rho_ae / log.consts.c
     w_seed = int(g.integers(2**63))

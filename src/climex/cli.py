@@ -19,7 +19,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .adversary import (
-    ShortEpochError,
     detect_outliers,
     mad_deviations,
     make_oracle_plan,
@@ -36,7 +35,7 @@ from .config import (
     load_config,
 )
 from .protocol_sim import CausalityError, ProtocolOverrunError
-from .secrecy import KeyRangeError, budget
+from .secrecy import budget
 from .signal_model import MeasurementEpoch
 from .sweep import SweepRow, log_spaced_values, run_sweep
 
@@ -142,11 +141,9 @@ def _float_cells(x: np.ndarray):
 
 
 def _int_cells(v: np.ndarray):
-    """``"%d" % v`` for the int64 or bool array ``v``: a uint8 array of
-    one fixed-width cell per value, leading zeros as NUL, and the mask
-    of the cells left to the ``%`` format: the negative ones."""
-    if v.dtype == bool:
-        return (v.view(np.uint8) + ord("0"))[:, None], np.zeros(v.size, bool)
+    """``"%d" % v`` for the int64 array ``v``: a uint8 array of one
+    fixed-width cell per value, leading zeros as NUL, and the mask of
+    the cells left to the ``%`` format: the negative ones."""
     neg = v < 0
     u = np.where(neg, 0, v)
     width = len(str(int(u.max()))) if u.size else 1
@@ -165,13 +162,11 @@ def _int_cells(v: np.ndarray):
 
 
 def _int_column(column) -> np.ndarray:
-    """``column`` as a bool or int64 array; as an object array of its
-    ints where int64 cannot hold them all, which the writer formats cell
-    by cell."""
+    """``column`` as an int64 array, a flag as the integer 0 or 1; as
+    an object array of its ints where int64 cannot hold them all, which
+    the writer formats cell by cell."""
     arr = np.asarray(column)
-    if arr.dtype == bool:
-        return arr
-    if arr.dtype.kind == "i":
+    if arr.dtype.kind in "bi":
         return arr.astype(np.int64, copy=False)
     return np.asarray(column, dtype=object)
 
@@ -228,7 +223,7 @@ def _write_table(header_lines, cell_formats, columns, out_path) -> None:
       prints that same text.  Nothing rests on log10 being exact: an
       estimate a decade off gives M >= 10^13, or M below 10^12 unless
       it rounds up to 10^12, the case just named.
-    - A non-negative int64 prints its digits, a bool 0 or 1.
+    - A non-negative int64 prints its digits, a flag 0 or 1.
 
     Every other cell is written by the ``%`` format, in one call per
     column chunk: negative numbers, 0.0, nan, +-inf, x outside
@@ -418,8 +413,8 @@ def _read_epoch_csv(path: str, setup: RunSetup) -> MeasurementEpoch:
         raise ConfigError(f"{path} line {lineno}: t_prime_s must be "
                           f"finite, got {value!r}")
     # the fit models the file with the config's protocol, and a climex
-    # fit replays the dither from the config's seed: a file written
-    # under others would be fitted against the wrong model
+    # fit replays n_pings dither draws from the config's seed: a file
+    # written under others would be fitted against the wrong model
     checked = {"protocol": setup.protocol}
     if setup.protocol == "climex":
         checked["seed"] = str(setup.scenario.seed)
@@ -427,6 +422,10 @@ def _read_epoch_csv(path: str, setup: RunSetup) -> MeasurementEpoch:
         if key in headers and headers[key][1] != want:
             raise ConfigError(f"{path}: epoch written with {key} = "
                               f"{headers[key][1]}, config has {key} = {want}")
+    n_pings = setup.scenario.n_pings
+    if setup.protocol == "climex" and t_col.size != n_pings:
+        raise ConfigError(f"{path}: {t_col.size} measurement rows, config "
+                          f"has n_pings = {n_pings}")
     if t_col.size < 2:
         raise ConfigError(f"{path}: need at least two measurement rows")
     # the pings form a comb t_m * j: row j = 1 gives t_m, and every row
@@ -607,17 +606,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
+        return exc.code
     try:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ProtocolOverrunError, CausalityError, KeyRangeError,
-            ShortEpochError, ValueError) as exc:
+    except (ProtocolOverrunError, CausalityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

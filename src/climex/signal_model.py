@@ -33,7 +33,6 @@ import numpy as np
 
 __all__ = [
     "SPEED_OF_LIGHT_M_S",
-    "as_generator",
     "fold",
     "ClockParams",
     "NoiseParams",
@@ -48,13 +47,6 @@ __all__ = [
 SPEED_OF_LIGHT_M_S = 299792458.0
 
 _TWO_PI = 2.0 * np.pi
-
-
-def as_generator(rng=None) -> np.random.Generator:
-    """Return ``rng`` if it already is a Generator, else seed a fresh one."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
 
 
 def fold(x, period):
@@ -243,7 +235,7 @@ def draw_epoch_noise(n_pings: int, noise: NoiseParams, rng=None):
     it, 0 + sigma z on the same standard normal draws, without its
     per-element call.
     """
-    g = as_generator(rng)
+    g = np.random.default_rng(rng)
     inner = g.standard_normal(n_pings) * noise.sigma_inner + 0.0
     outer = g.standard_normal(n_pings) * noise.sigma_outer + 0.0
     return inner, outer

@@ -43,8 +43,6 @@ def log_spaced_values(lo: float, hi: float, n: int) -> np.ndarray:
         raise ValueError("need 0 < lo < hi for log spacing")
     if n < 1:
         raise ValueError("need at least one value")
-    if n == 1:
-        return np.asarray([lo])
     return np.geomspace(lo, hi, n)
 
 

@@ -6,6 +6,8 @@ once the responder's reply is rescaled to the public amplitude and the
 initiator dithers its pings.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -54,14 +56,32 @@ def test_tdoa_depends_only_on_path_difference(clock_pair, scenario, consts,
     assert not np.array_equal(e1.ping_times, e2.ping_times)
 
 
-def test_tdoa_geometry_validation(clock_pair, scenario, consts, zero_noise):
+def _off_triangle(rho_ae, rho_be):
+    return (f"geometry violates the triangle inequality: rho_ae = {rho_ae}, "
+            f"rho_be = {rho_be}, rho_ab = 3.0 m")
+
+
+# rho_AB = 3 here: a listener 10 m from one end and 2 m from the other,
+# or 1 m from both, cannot close the triangle; one in line with both
+# stations, beyond B or between them, lies on its edge
+@pytest.mark.parametrize("rho_ae, rho_be, message", [
+    (-1.0, 2.5, "distances must be non-negative"),
+    (10.0, 2.0, _off_triangle(10.0, 2.0)),
+    (2.0, 10.0, _off_triangle(2.0, 10.0)),
+    (1.0, 1.0, _off_triangle(1.0, 1.0)),
+    (4.0, 1.0, None),
+    (1.0, 2.0, None),
+])
+def test_tdoa_geometry_validation(clock_pair, scenario, consts, zero_noise,
+                                  rho_ae, rho_be, message):
     ini, res = clock_pair(500.0)
     _, log = run_rtt_epoch(ini, res, scenario(seed=6), consts, zero_noise)
-    with pytest.raises(ValueError):
-        eve_tdoa_epoch(log, -1.0, 2.5, zero_noise, np.random.default_rng(1))
-    # rho_AB = 3 here, so AE = 10 with BE = 2 cannot close the triangle
-    with pytest.raises(ValueError):
-        eve_tdoa_epoch(log, 10.0, 2.0, zero_noise, np.random.default_rng(1))
+    if message is None:
+        ep = eve_tdoa_epoch(log, rho_ae, rho_be, zero_noise, 1)
+        assert ep.tdoa.size == log.ping_emit.size
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            eve_tdoa_epoch(log, rho_ae, rho_be, zero_noise, 1)
 
 
 def test_listener_reads_rtt_traffic(clock_pair, scenario, consts, desk_noise):
@@ -111,6 +131,8 @@ def test_interarrival_beat_and_its_destruction(clock_pair, scenario, consts,
                                   np.random.default_rng(123))
     est_d = grid_search(ep_d, consts, amplitude=eve_clk.period)
     assert abs(est_d.f_d_hat - beat) > 10.0
+    with pytest.raises(ValueError, match="^distance must be non-negative$"):
+        eve_interarrival_epoch(log, eve_clk, -1.0, desk_noise, 123)
 
 
 def test_listener_fit_needs_enough_pulses(clock_pair, scenario, consts,

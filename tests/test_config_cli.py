@@ -347,6 +347,11 @@ def test_estimate_rejects_malformed_epoch_csv(tmp_path, capsys):
         assert main(["estimate", "--in", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and where in err
+    # a path that cannot be read: missing, or a directory
+    for path in (tmp_path / "nope.csv", tmp_path):
+        assert main(["estimate", "--in", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: cannot read epoch file {path}: ")
 
 
 def test_estimate_refuses_epoch_csv_from_another_model(tmp_path, capsys):
@@ -384,6 +389,20 @@ def test_estimate_refuses_epoch_csv_from_another_model(tmp_path, capsys):
     assert main(["estimate", "--config", str(climex), "--seed", "7",
                  "--in", str(bare)]) == 0
     assert main(["estimate", "--in", str(bare)]) == 1
+    # a climex fit replays n_pings dither draws, so a climex file of
+    # another length is refused by its row count (it was an exit 1 that
+    # named neither the file nor the key); rtt replays none
+    for name, src, cfg, code in (("short_climex.csv", climex_csv, climex, 2),
+                                 ("short_rtt.csv", rtt_csv, None, 0)):
+        short = tmp_path / name
+        short.write_text("\n".join(_lines(src)[:4 + 40]) + "\n")
+        config = ["--config", str(cfg)] if cfg else []
+        capsys.readouterr()
+        assert main(["estimate", *config, "--in", str(short)]) == code
+        if code:
+            assert capsys.readouterr().err == (
+                f"config error: {short}: 40 measurement rows, config has "
+                f"n_pings = 10000\n")
 
 
 def test_estimate_refuses_aliased_epoch_csv(tmp_path, capsys):
@@ -896,6 +915,7 @@ _READER_CASES = {
     "rtt_below_the_exponent_window": (40, lambda ls: ls[:10] + [
         _edit_cell(ls[10], 2, "5.000000000000e-11")] + ls[11:]),
     "no_final_newline": (40, lambda ls: ls),
+    "headers_only_no_final_newline": (40, lambda ls: ls[:3]),
     "short_first_row": (40, lambda ls: ls[:4] + [_shortened(ls[4])] + ls[5:]),
     "short_row_in_body": (40, lambda ls: ls[:20] + [_shortened(ls[20])]
                           + ls[21:]),
@@ -924,7 +944,7 @@ def test_epoch_reader_matches_per_line_reader(tmp_path, monkeypatch, capsys,
     n_pings, edit = _READER_CASES[case]
     cfgp, lines = _small_epoch_lines(tmp_path, n_pings)
     path = tmp_path / "case.csv"
-    end = "" if case == "no_final_newline" else newline
+    end = "" if case.endswith("no_final_newline") else newline
     path.write_bytes((newline.join(edit(lines)) + end).encode("utf-8"))
     setup = build_setup(load_config(cfgp))
     try:
@@ -1036,9 +1056,13 @@ def test_sweep_timing_fills_only_the_runtime_column(tmp_path):
 
 
 def test_sweep_single_value_row(tmp_path):
-    out = tmp_path / "sweep.csv"
+    # one log-spaced value is --lo itself: the same row
+    out, lone = tmp_path / "sweep.csv", tmp_path / "lone.csv"
     assert main(["sweep", "--values", "500", "--trials", "1",
                  "--out", str(out)]) == 0
+    assert main(["sweep", "--lo", "500", "--n-values", "1", "--trials", "1",
+                 "--out", str(lone)]) == 0
+    assert lone.read_bytes() == out.read_bytes()
     lines = _lines(out)
     assert lines[0] == ("f_d_true_hz,trial,seed,f_d_err_hz,"
                         "phi_test_err_rad,rho_err_m,runtime_s")
@@ -1177,6 +1201,18 @@ def test_sweep_refuses_arguments_that_are_not_finite(argv, named, capsys):
 def test_log_spaced_values_needs_finite_bounds(lo, hi):
     with pytest.raises(ValueError, match="must be finite"):
         log_spaced_values(lo, hi, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lo=st.floats(5e-324, 1e300))
+def test_log_spaced_single_value_is_lo(lo):
+    got = log_spaced_values(lo, 1e301, 1)
+    assert got.shape == (1,) and got[0].hex() == lo.hex()
+
+
+def test_run_sweep_needs_a_trial():
+    with pytest.raises(ValueError, match="^need at least one trial$"):
+        run_sweep(dict(DEFAULTS), [500.0], 0)
 
 
 def test_detect_random_injection_smoke(tmp_path):
@@ -1399,6 +1435,10 @@ def test_runtime_errors_exit_1(tmp_path, capsys):
     cfgp.write_text("n_pings = 10\nattack = random\nattack_n = 5\n")
     assert main(["detect", "--config", str(cfgp)]) == 1
     assert "error:" in capsys.readouterr().err
+    # an output file that cannot be written
+    out = tmp_path / "no_dir" / "out.txt"
+    assert main(["budget", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("i/o error: ")
 
 
 def test_usage_errors_exit_2(capsys):

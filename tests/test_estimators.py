@@ -845,6 +845,12 @@ def test_grid_search_refuses_bad_shapes_by_name(clock_pair, scenario, consts,
                         sample_mask=np.ones(shape, dtype=bool))
     with pytest.raises(ValueError, match="delta_vec has shape"):
         grid_search(ep, consts, amplitude=amp, delta_vec=np.zeros(199))
+    # a mask that keeps one ping leaves no beat to read
+    one = np.zeros(200, dtype=bool)
+    one[7] = True
+    with pytest.raises(ValueError, match="^grid search needs at least two "
+                                         "usable samples$"):
+        grid_search(ep, consts, amplitude=amp, sample_mask=one)
     # a scalar dither still stands for every ping
     assert (grid_search(ep, consts, amplitude=amp, delta_vec=0.0)
             == grid_search(ep, consts, amplitude=amp,

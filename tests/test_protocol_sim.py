@@ -253,6 +253,30 @@ def test_slow_processing_overruns(clock_pair, scenario, desk_noise):
         run_rtt_epoch(ini, res, scenario(n_pings=50, seed=1), slow, desk_noise)
 
 
+# an unknown kind; a respond that the micro-second stamp noise puts before
+# its ping, with no flight time and no processing delay; and an
+# initiator at twice the nominal rate, whose one-edge slot of 5 ns the
+# 10 ns dither span reorders
+@pytest.mark.parametrize("kind, f_ini, t_m, rho_ab, delta_0, sigma, error, "
+                         "message", [
+    ("bogus", 1.0e8 + 313.0, 1.0e-4, 3.0, 2.0e-8, 0.0, ValueError,
+     "unknown exchange kind 'bogus'"),
+    ("rtt", 1.0e8 + 313.0, 1.0e-4, 0.0, 0.0, 1.0e-6, CausalityError,
+     "a respond arrives before its ping was sent"),
+    ("climex", 2.0e8, 1.0e-8, 3.0, 2.0e-8, 0.0, ProtocolOverrunError,
+     "dither span reorders ping emissions"),
+], ids=["unknown_kind", "respond_before_ping", "dither_reorders_pings"])
+def test_run_exchange_refusals(kind, f_ini, t_m, rho_ab, delta_0, sigma,
+                               error, message):
+    ini = ClockParams(f_hz=f_ini, theta_rad=0.3)
+    res = ClockParams(f_hz=1.0e8 - 187.0, theta_rad=1.1)
+    cfg = ScenarioConfig(t_m=t_m, n_pings=50, rho_ab=rho_ab,
+                         dither="uniform", seed=1)
+    with pytest.raises(error, match=f"^{message}$"):
+        run_exchange(ini, res, cfg, ProtocolConstants(delta_0=delta_0),
+                     NoiseParams(sigma_j=0.0, sigma_c=sigma), kind=kind)
+
+
 def test_negative_distance_is_causality_error():
     with pytest.raises(CausalityError):
         ScenarioConfig(t_m=1.0e-4, n_pings=50, rho_ab=-1.0)

@@ -205,6 +205,8 @@ def test_tiny_grid_hand_key():
 def test_key_is_bin_invariant():
     inp = BudgetInputs()
     base = derive_key(1.0e8 + 313.0, 1.0e8 - 187.0, 1.23, 50.0, inp)
+    # inputs omitted are the default inputs
+    assert derive_key(1.0e8 + 313.0, 1.0e8 - 187.0, 1.23, 50.0) == base
     moved = derive_key(1.0e8 + 313.4, 1.0e8 - 186.7, 1.2999, 50.013, inp)
     assert moved == base
     # crossing a bin boundary changes the key

@@ -30,6 +30,8 @@ def test_fold_hand_values():
     assert fold(-0.5, 2.0) == 1.5
     assert fold(4.0, 2.0) == 0.0
     assert fold(0.0, 2.0) == 0.0
+    with pytest.raises(ValueError, match="^period must be positive$"):
+        fold(1.0, 0.0)
 
 
 def test_fold_negative_epsilon_maps_to_zero():
