@@ -32,12 +32,12 @@ comb's ladder plan:
   itself: the ladder is bins 0 .. K - 1 of one length-M FFT of the
   phasors, zero-padded, and the plan holds no chirp or kernel.  The
   default comb (t_m = 100 us, df = 1 Hz, 10^4 pings) has M = 10^4.
-* Any other comb, such as the listener's least-squares slope or the
-  200-ping detection comb (M = 10^4 > L = 2200), takes Bluestein's FFT
-  convolution in O((N + K) log(N + K)) instead of N K, padded to L =
-  the smallest 11-smooth integer >= N + K - 1 (12 000 for 10^4 pings
-  and 2001 frequencies, where a power of two would take 16 384), the
-  lengths pocketfft transforms without a generic prime pass.
+* Any other comb, such as the 200-ping detection comb (M = 10^4 > L =
+  2200) or an interarrival slope, takes Bluestein's FFT convolution in
+  O((N + K) log(N + K)) instead of N K, padded to L = the smallest
+  11-smooth integer >= N + K - 1 (12 000 for 10^4 pings and 2001
+  frequencies, where a power of two would take 16 384), the lengths
+  pocketfft transforms without a generic prime pass.
 
 A masked refit keeps the full comb and zeroes the dropped samples'
 phasors.  On the comb R(f) repeats with period 1 / t_m, so a coarse
@@ -85,11 +85,9 @@ memo, the ladder plan, which keeps the two most recently used keys
 comb); a masked refit zeroes the dropped pings' phasors in place, so
 the blocks keep their shape.  The arrays are built by the same
 expressions either way, so a fit is bit for bit the same from a fresh
-or a reused plan.  The listener's slope comb has a t_m of its own in
-every epoch, so each of its fits builds a plan; that build takes no
-complex exp over the comb (the chirp is table phasors), and the
-listener's other per-comb set-up, the comb fit's design matrix, is
-memoised by comb length (see :func:`climex.adversary._comb_design`).
+or a reused plan.  The passive listener fits its TDOA on the public
+comb, the initiator's, so its fits share the initiator's plan (see
+:func:`climex.adversary.eve_estimate_rtt`).
 
 The fit's working arrays that are as long as the comb (the sample
 phasors and their temporaries, the readout's ramp, the resultant's
@@ -101,12 +99,10 @@ are the same bit for bit; a warm fit allocates none of them, so a loop
 of fits does not fault them back in after the allocator trims its heap.
 A masked refit still takes fresh copies of its kept samples.  Plan
 arrays and everything a fit returns or stores are never scratch (a
-Bluestein plan build takes its chirp from the scratch and keeps
-copies).  The scratch holds 10 floats per ping of the thread's longest
-comb (80 kB per 1000 pings), or 7 per coarse frequency where a short
-comb's Bluestein plan has more frequencies than pings, for the
-thread's life, plus the last ladder plan's length L in complex values;
-with the ladder plan's memo (its chirp and kernel, about n + L
+plan build takes its arrays from a fresh scratch).  The scratch holds
+10 floats per ping of the thread's longest comb (80 kB per 1000 pings)
+for the thread's life, plus the last ladder plan's length L in complex
+values; with the ladder plan's memo (its chirp and kernel, about n + L
 phasors, and its two refine tables, about 2 sqrt(n) x 21 phasors, for
 each of two combs) this is what the estimator holds between fits.
 
@@ -449,11 +445,7 @@ def _bluestein(c, n, count):
     c_hi) m^2, is :func:`_unit_phasors` of w / 2, within 3e-15 of the
     complex exp of w reduced exactly to [-1, 1], at ~105 against ~225 us
     on 10^4 pings (2-CPU x86_64 VM).  It feeds only the coarse ladder's
-    argmax, the same rule as p0 (see the module docstring).  Its
-    temporaries come from the thread's scratch: 7 floats per
-    max(n, count), below a fit's 10 per ping for any comb but a short
-    one fitted over many frequencies (200 pings and 2001 frequencies
-    hold 14 007 floats, 112 kB).
+    argmax, the same rule as p0 (see the module docstring).
     """
     m2 = np.arange(max(n, count), dtype=float) ** 2
     c_hi = float(np.float32(c))
@@ -461,13 +453,10 @@ def _bluestein(c, n, count):
     w = v - 2.0 * np.floor(v * 0.5) + (c - c_hi) * m2
     size = _fast_len(n + count - 1)
     kern = np.zeros(size, dtype=complex)
-    # the plan keeps copies, never the scratch chirp itself
-    with _SCRATCH as work:
-        chirp = _unit_phasors(0.5 * w, work)
-        kern[:count] = chirp[:count]
-        kern[size - n + 1:] = chirp[n - 1:0:-1]
-        conj = chirp[:n].conj()
-    return conj, np.fft.fft(kern, out=kern)
+    chirp = _unit_phasors(0.5 * w, _Scratch())
+    kern[:count] = chirp[:count]
+    kern[size - n + 1:] = chirp[n - 1:0:-1]
+    return np.conjugate(chirp[:n], out=chirp[:n]), np.fft.fft(kern, out=kern)
 
 
 # the most a DFT-aligned ladder may slip against the exact one over the
@@ -487,8 +476,8 @@ def _dft_len(c, n, count):
     transform must also be no longer than the Bluestein length L
     (n <= M <= L) and 11-smooth: a prime M takes pocketfft's own, slower
     chirp-z pass.  The default comb (t_m = 100 us, df = 1 Hz, 10^4
-    pings) is aligned with M = 10^4 and no slip at all; the listener's
-    slope comb and the 200-ping detection comb are not.
+    pings) is aligned with M = 10^4 and no slip at all; the 200-ping
+    detection comb is not.
     """
     size = _fast_len(n + count - 1)
     if c * (size + 1) < 1.0:       # M past L (and 1 / c perhaps not finite)
@@ -609,11 +598,10 @@ def _ladder_plan(t_m, n, df, n_coarse, refine_step) -> _LadderPlan:
     Either holds the refine window's two tables (see
     :func:`_window_tables`), about 2 sqrt(n) x 21 phasors.
     Two entries hold the two combs one process fits (10^4 pings for
-    estimates and sweeps, 200 for detection), which build their plans
-    once per process.  A comb whose t_m is itself an estimate (the
-    listener's least-squares slope) misses on every fit and builds its
-    plan, ~0.5 ms at 10^4 pings on a 2-CPU x86_64 VM (the chirp from the
-    table, the kernel's FFT and the refine tables).
+    estimates, sweeps and the listener, 200 for detection), built once
+    per process.  A comb whose t_m is itself an estimate (an
+    interarrival epoch's slope) misses on every fit, ~0.5 ms at 10^4
+    pings on a 2-CPU x86_64 VM.
     The arrays are shared by every caller, so they are read-only.
     """
     m = _dft_len(df * t_m, n, n_coarse)

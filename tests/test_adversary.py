@@ -6,7 +6,9 @@ once the responder's reply is rescaled to the public amplitude and the
 initiator dithers its pings.
 """
 
+import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ from climex import (
     run_climex_epoch,
     run_rtt_epoch,
 )
-from climex.adversary import _comb_design, _comb_fit, _median, _quantile
+from climex.adversary import _comb_fit, _median, _quantile
 
 RHO_AE = 4.0
 RHO_BE = 2.5
@@ -146,38 +148,49 @@ def test_listener_fit_needs_enough_pulses(clock_pair, scenario, consts,
         eve_estimate_rtt(ep, consts)
 
 
+def _exact_comb_line(times):
+    """Exact least-squares (spacing, start) of the stamps on j = 0 ..
+    n - 1, as rationals: each float is an integer over a power of two,
+    so the sums are exact integers over the largest such denominator."""
+    n = times.size
+    ratios = [v.as_integer_ratio() for v in times.tolist()]
+    den = max(d for _, d in ratios)
+    y = [p * (den // d) for p, d in ratios]
+    sy = sum(y)
+    sjy = sum(j * v for j, v in enumerate(y))
+    # sum (j - (n - 1) / 2) y_j over Sxx = n (n^2 - 1) / 12
+    slope = Fraction(6 * (2 * sjy - (n - 1) * sy), den * n * (n * n - 1))
+    return slope, Fraction(sy, n * den) - slope * Fraction(n - 1, 2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.one_of(st.integers(8, 300), st.integers(8, 100_000)),
        rel=st.floats(-1e-2, 1e-2),
        offset=st.floats(-1e3, 1e3),
        sigma=st.sampled_from([0.0, 1e-12, 2e-9, 1e-6]),
        seed=st.integers(0, 2**32 - 1))
-# the listener's tap: 10^4 pings, 2 ns stamps; and a noise-free comb
+# the listener's tap: 10^4 pings, 2 ns stamps; a noise-free comb far
+# out; and a long comb that crosses zero
 @example(n=10_000, rel=-3.13e-6, offset=0.0, sigma=2e-9, seed=9000)
 @example(n=8, rel=0.0, offset=1e3, sigma=0.0, seed=0)
-def test_comb_fit_is_polyfit_bit_for_bit(n, rel, offset, sigma, seed):
-    # the once-built design gives np.polyfit's line in every bit; the
-    # stamps are not written, and the cached design is read-only and
-    # the same after the fit as a fresh build
+@example(n=100_000, rel=1e-2, offset=-5.0, sigma=1e-6, seed=1)
+def test_comb_fit_is_exact_least_squares_within_ulps(n, rel, offset, sigma,
+                                                      seed):
+    # the closed-form line meets exact rational least squares on the
+    # float stamps: the spacing within 4 ulp, the start within 2 ulp of
+    # the largest stamp; the stamps are not written
     rng = np.random.default_rng(seed)
     times = offset + 1e-4 * (1.0 + rel) * np.arange(n)
     if sigma:
         times += rng.normal(0.0, sigma, n)
     times.flags.writeable = False
-    want = np.polyfit(np.arange(n, dtype=float), times, 1)
-    got = _comb_fit(times)
-    assert [v.hex() for v in got] == [float(v).hex() for v in want]
-    lhs, scale, rcond = _comb_design(n)
-    assert not lhs.flags.writeable and not scale.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        lhs[0, 0] = 1.0
-    with pytest.raises(ValueError, match="read-only"):
-        scale *= 2.0
-    _comb_design.cache_clear()
-    fresh = _comb_design(n)
-    assert fresh[0] is not lhs
-    assert lhs.tobytes() == fresh[0].tobytes()
-    assert scale.tobytes() == fresh[1].tobytes() and rcond == fresh[2]
+    slope, icpt = _comb_fit(times)
+    assert type(slope) is float and type(icpt) is float
+    want_slope, want_icpt = _exact_comb_line(times)
+    assert abs(Fraction(slope) - want_slope) <= 4 * Fraction(
+        math.ulp(float(want_slope)))
+    assert abs(Fraction(icpt) - want_icpt) <= 2 * Fraction(
+        math.ulp(float(np.max(np.abs(times)))))
 
 
 # ----------------------------------------------------------------------

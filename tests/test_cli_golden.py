@@ -3,8 +3,9 @@
 The digests pin every printed fit, every simulated draw and every
 formatted cell of the commands below, so a refactor that claims to keep
 the outputs bit for bit is checked against them.  ``estimate --in``
-reads the ``simulate`` output of the same config and seed; the
-``detect`` digest covers its report and then its residual table.
+reads the ``simulate`` output of the same config and seed; the two
+``detect`` digests, one per injection plan, cover its report and then
+its residual table.
 """
 
 import hashlib
@@ -29,6 +30,8 @@ def _cases():
                 name = f"{command.replace(' --', '-')}-{protocol}-{seed}"
                 cases[name] = (config, command.split() + ["--seed", seed])
     cases["detect-residuals"] = (_ATTACK, ["detect", "--residuals"])
+    cases["detect-oracle"] = (_ATTACK.replace("random", "oracle"),
+                              ["detect", "--residuals"])
     cases["budget"] = ("", ["budget"])
     cases["sweep"] = ("", ["sweep", "--values=-1000,-3.3,1000", "--trials",
                            "2", "--seed", "99999999999999999999"])
@@ -40,6 +43,8 @@ _CASES = _cases()
 GOLDEN = {
     "budget":
         "a1592d0ab87d56583686d873516c251ab5e66cfdc9dba7197bde74eedc94f0b9",
+    "detect-oracle":
+        "da6f4b09c1b60fa27d236e90fd979e7c48e592e0053dc7d220783c0fc51d2154",
     "detect-residuals":
         "f82202568d5998b616b8e06fd3ba4ebb9639cc6f96e6bba73c76e3b3ca1d2d0a",
     "estimate-climex-1":

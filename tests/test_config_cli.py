@@ -102,6 +102,21 @@ def test_readme_key_table_names_every_config_key_once():
     assert sorted(named) == sorted(DEFAULTS)
 
 
+def test_readme_quick_tour_runs_as_written(capsys):
+    # the README's library code block, run as it stands: the dithered
+    # epoch's fit prints the 500 Hz beat and the 3 m distance, then the
+    # default budget's total
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    tour = readme.split("## Library quick tour\n", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```\n", 1)[0]
+    exec(compile(code, "README.md quick tour", "exec"), {})
+    fit, total = capsys.readouterr().out.splitlines()
+    f_d, rho = (float(v) for v in fit.split())
+    assert abs(f_d - 500.0) < 0.5 and abs(rho - 3.0) < 0.1
+    assert abs(float(total) - 38.0) <= 0.25
+
+
 def test_every_exported_name_resolves():
     # each module's __all__, and every name the package re-exports from
     # a module, which must also be in that module's __all__

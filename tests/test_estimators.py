@@ -434,8 +434,9 @@ def _near_tie(mags):
 # a 201-point window, ten chunks of the tables' 21 columns
 @example(n=10_000, log_tm=-4.0, span=0.2, lo=-0.1, count=201, refine=100,
          lock=0.44, seed=11, masked=True, dithered=True)
-# a listener's slope comb on the default grid: 10^4 pings at t_m = 1e-4
-# (1 - 3.13e-6), a Bluestein ladder whose chirp and plan are built per fit
+# a slope comb on the default grid, as an interarrival epoch's: 10^4
+# pings at t_m = 1e-4 (1 - 3.13e-6), a Bluestein ladder whose chirp and
+# plan are built per fit
 @example(n=10_000, log_tm=-4.0 + np.log10(1.0 - 3.13e-6),
          span=0.2 * (1.0 - 3.13e-6), lo=-0.1 * (1.0 - 3.13e-6), count=2001,
          refine=10, lock=0.7501, seed=12, masked=False, dithered=False)
@@ -610,8 +611,9 @@ def test_ladder_plan_is_read_only_and_holds_two_combs():
 
 def test_only_unaligned_combs_build_a_chirp(monkeypatch):
     # the default comb is bins 0 .. 2000 of the length-10^4 DFT and builds
-    # no Bluestein arrays; the listener's slope comb and the 200-ping
-    # detection comb still do
+    # no Bluestein arrays; the listener fits on the same public comb, so
+    # it finds that plan and leaves the memo at one entry; the 200-ping
+    # detection comb still builds them
     built = []
     real = estimators._bluestein
 
@@ -629,12 +631,14 @@ def test_only_unaligned_combs_build_a_chirp(monkeypatch):
     assert _ladder_plan.cache_info().currsize == 1
     tap = eve_tdoa_epoch(log, s.rho_ae, s.rho_be, s.noise, 9000)
     eve_estimate_rtt(tap, s.consts, grid=s.grid)
-    assert built == [tap.tdoa.size]
+    assert built == []
+    info = _ladder_plan.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (1, 1, 1)
     short = build_setup(dict(DEFAULTS, n_pings=200))
     epoch, _ = run_exchange(short.initiator, short.responder, short.scenario,
                             short.consts, short.noise)
     grid_search(epoch, short.consts, grid=short.grid)
-    assert built == [tap.tdoa.size, 200]
+    assert built == [200]
 
 
 def test_alignment_slip_bound_at_its_edge():
